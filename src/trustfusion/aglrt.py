@@ -2,11 +2,13 @@
 
 The decision compares, for each hypothesis, the best achievable joint
 likelihood of the observed measurements and trust scores over every robot
-labeling and every malicious reporting rate. The continuous rate only ever
-needs to range over the rationals ``Tn/Td`` with denominator at most the
-network size (its conditional maximizer is always an empirical fraction of
-wrong reports), which turns an intractable mixed maximization into an
-``O(N^2)``-candidate scan with an ``O(N)`` inner step.
+labeling and every malicious reporting rate. The best rate for a labeling is
+its fraction of wrong reports among the robots labeled malicious, so a
+branch maximum depends only on two counts: ``k_w`` malicious labels among
+the reports that contradict the branch and ``k_r`` among those that agree.
+Sorted gain prefix sums give every count pair's best labeling, one
+``O(N^2)`` table locates the maximum, and the few rates attaining it are
+re-evaluated robot by robot to keep the tie rules and summation order.
 
 A full exponential enumeration over labelings is included as a verification
 oracle for small networks.
@@ -16,8 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
+
+import numpy as np
 
 from .models import (
     DecisionOutcome,
@@ -61,17 +63,17 @@ class InnerMaxResult:
     t_hat: tuple
 
 
-@lru_cache(maxsize=32)
 def candidate_set(n: int) -> CandidateSet:
     """All reduced fractions Tn/Td with 0 <= Tn <= Td and 1 <= Td <= n.
 
-    Fractions are deduplicated in exact integer form before the single
-    conversion to float, so e.g. 2/4 and 1/2 collapse to one candidate.
+    Division is correctly rounded, so equal fractions such as 2/4 and 1/2
+    give the same float, while distinct ones differ by at least 1/n^2 and
+    stay distinct and in order.
     """
     if n < 1:
         raise ValidationError(f"robot count {n!r} must be >= 1")
-    fractions = {Fraction(tn, td) for td in range(1, n + 1) for tn in range(td + 1)}
-    return CandidateSet(values=tuple(float(f) for f in sorted(fractions)))
+    return CandidateSet(values=tuple(sorted(
+        {tn / td for td in range(1, n + 1) for tn in range(td + 1)})))
 
 
 def _branch_tables(a, y, branch: int, trust: TrustModel,
@@ -83,17 +85,12 @@ def _branch_tables(a, y, branch: int, trust: TrustModel,
     weight of calling it malicious, and ``wrong[i]`` marks a report that
     contradicts the branch hypothesis (the exponent of the adversary rate).
     """
-    if branch == 1:
-        log_hit = math.log1p(-sensors.p_md_l)
-        log_miss = math.log(sensors.p_md_l)
-    else:
-        log_hit = math.log1p(-sensors.p_fa_l)
-        log_miss = math.log(sensors.p_fa_l)
+    p_miss = sensors.p_md_l if branch == 1 else sensors.p_fa_l
+    log_hit = math.log1p(-p_miss)
+    log_miss = math.log(p_miss)
     log_legit = trust.log_pmf_legit
     log_mal = trust.log_pmf_malicious
-    log_cl = []
-    log_pa0 = []
-    wrong = []
+    log_cl, log_pa0, wrong = [], [], []
     for a_i, y_i in zip(a, y):
         j = trust.symbol_index(a_i)
         log_cl.append(log_legit[j] + (log_hit if y_i == branch else log_miss))
@@ -157,42 +154,55 @@ def mle_adversary_param(t, y, branch: int) -> float:
     return wrong / total
 
 
-def _branch_max(candidates, a, y, branch: int, trust: TrustModel,
+def _prefix_sums(gains):
+    """0 followed by the running sums of ``gains`` in descending order."""
+    return np.concatenate(([0.0], np.cumsum(np.sort(gains)[::-1])))
+
+
+def _branch_max(a, y, branch: int, trust: TrustModel,
                 sensors: LegitimateSensorModel) -> tuple:
-    """Scan the candidate rates; ties keep the smallest rate."""
+    """Branch maximum ``(value, rate, t_hat)``; ties keep the smallest rate.
+
+    The count table only selects the rates ``k_w / (k_w + k_r)`` whose value
+    is within rounding of the maximum (the empty labeling gives 0.0). Each
+    is re-evaluated per robot in ascending order, so the result is the one
+    a scan over every candidate rate would keep.
+    """
     log_cl, log_pa0, wrong = _branch_tables(a, y, branch, trust, sensors)
-    best_value = NEG_INF
-    best_rate = 0.0
-    best_t = None
-    for p_m in candidates:
+    gains = np.subtract(log_pa0, log_cl)
+    is_wrong = np.array(wrong, dtype=bool)
+    s_w = _prefix_sums(gains[is_wrong])
+    s_r = _prefix_sums(gains[~is_wrong])
+    counts = np.arange(len(gains) + 1, dtype=float)
+    xlogx = counts * np.log(np.maximum(counts, 1.0))
+    k_w = np.arange(len(s_w))[:, None]
+    k_r = np.arange(len(s_r))[None, :]
+    table = (s_w[:, None] + xlogx[k_w]) + (s_r[None, :] + xlogx[k_r]) - xlogx[k_w + k_r]
+    top = table.max()
+    rows, cols = np.nonzero(table >= top - 1e-9 * (1.0 + abs(top)))
+    rates = sorted({w / (w + r) if w + r else 0.0
+                    for w, r in zip(rows.tolist(), cols.tolist())})
+    best = (NEG_INF, 0.0, None)
+    for p_m in rates:
         result = _best_labeling(p_m, log_cl, log_pa0, wrong)
-        if result.log_likelihood > best_value:
-            best_value = result.log_likelihood
-            best_rate = p_m
-            best_t = result.t_hat
-    return best_value, best_rate, best_t
+        if result.log_likelihood > best[0]:
+            best = (result.log_likelihood, p_m, result.t_hat)
+    return best
 
 
-def aglrt_decide(trial: Trial, trust: TrustModel, sensors: LegitimateSensorModel,
-                 prior_h0: float, prior_h1: float) -> DecisionOutcome:
-    """Full decision: maximize both branches over the candidate rates and
-    compare the log-likelihood ratio against the log prior ratio.
+def _outcome(num: tuple, den: tuple, prior_h0: float, prior_h1: float) -> DecisionOutcome:
+    """Compare the branch maxima ``(value, rate, t_hat)`` against the priors.
 
     An exact tie goes to the null hypothesis. The outcome carries the
     winning branch's labeling and adversary-rate estimate; when the winning
     labeling marks every robot legitimate the rate is unconstrained and the
     canonical 0.0 is reported with a diagnostic flag.
     """
-    candidates = candidate_set(trial.n).values
-    log_num, rate_num, t_num = _branch_max(candidates, trial.a, trial.y, 1, trust, sensors)
-    log_den, rate_den, t_den = _branch_max(candidates, trial.a, trial.y, 0, trust, sensors)
+    log_num, log_den = num[0], den[0]
     threshold = log_prior_ratio(prior_h0, prior_h1)
     log_ratio = log_num - log_den
     hypothesis = 1 if log_ratio > threshold else 0
-    if hypothesis == 1:
-        t_hat, estimate = t_num, rate_num
-    else:
-        t_hat, estimate = t_den, rate_den
+    _, estimate, t_hat = num if hypothesis == 1 else den
     unconstrained = all(t_i == 1 for t_i in t_hat)
     return DecisionOutcome(
         hypothesis=hypothesis,
@@ -205,6 +215,15 @@ def aglrt_decide(trial: Trial, trust: TrustModel, sensors: LegitimateSensorModel
             "adversary_estimate_arbitrary": 1.0 if unconstrained else 0.0,
         },
     )
+
+
+def aglrt_decide(trial: Trial, trust: TrustModel, sensors: LegitimateSensorModel,
+                 prior_h0: float, prior_h1: float) -> DecisionOutcome:
+    """Full decision: maximize both branches over labelings and rates and
+    compare the log-likelihood ratio against the log prior ratio."""
+    num = _branch_max(trial.a, trial.y, 1, trust, sensors)
+    den = _branch_max(trial.a, trial.y, 0, trust, sensors)
+    return _outcome(num, den, prior_h0, prior_h1)
 
 
 def brute_force_glrt(trial: Trial, trust: TrustModel, sensors: LegitimateSensorModel,
@@ -219,17 +238,14 @@ def brute_force_glrt(trial: Trial, trust: TrustModel, sensors: LegitimateSensorM
         raise ValidationError(
             f"brute force refuses n={n} > {BRUTE_FORCE_MAX_N} (exponential cost)"
         )
-    branch_best = {}
-    for branch in (0, 1):
+    branch_best = []
+    for branch in (1, 0):
         log_cl, log_pa0, wrong = _branch_tables(trial.a, trial.y, branch, trust, sensors)
-        best_value = NEG_INF
-        best_t = None
-        best_rate = 0.0
+        best = (NEG_INF, 0.0, None)
         for mask in range(1 << n):
             t = tuple((mask >> i) & 1 for i in range(n))
             total = 0.0
-            n_mal = 0
-            n_wrong = 0
+            n_mal = n_wrong = 0
             for i in range(n):
                 if t[i] == 1:
                     total += log_cl[i]
@@ -239,26 +255,7 @@ def brute_force_glrt(trial: Trial, trust: TrustModel, sensors: LegitimateSensorM
                     n_wrong += 1 if wrong[i] else 0
             rate = n_wrong / n_mal if n_mal else 0.0
             total += log_pow(rate, n_wrong) + log_pow(1.0 - rate, n_mal - n_wrong)
-            if total > best_value:
-                best_value = total
-                best_t = t
-                best_rate = rate
-        branch_best[branch] = (best_value, best_rate, best_t)
-    log_den, rate_den, t_den = branch_best[0]
-    log_num, rate_num, t_num = branch_best[1]
-    threshold = log_prior_ratio(prior_h0, prior_h1)
-    log_ratio = log_num - log_den
-    hypothesis = 1 if log_ratio > threshold else 0
-    t_hat, estimate = (t_num, rate_num) if hypothesis == 1 else (t_den, rate_den)
-    unconstrained = all(t_i == 1 for t_i in t_hat)
-    return DecisionOutcome(
-        hypothesis=hypothesis,
-        t_hat=t_hat,
-        adversary_estimate=0.0 if unconstrained else estimate,
-        diagnostics={
-            "log_num": log_num,
-            "log_den": log_den,
-            "log_ratio": log_ratio,
-            "adversary_estimate_arbitrary": 1.0 if unconstrained else 0.0,
-        },
-    )
+            if total > best[0]:
+                best = (total, rate, t)
+        branch_best.append(best)
+    return _outcome(*branch_best, prior_h0, prior_h1)

@@ -48,26 +48,33 @@ class ConfigError(ValueError):
     """Config file is missing, malformed, or violates the schema."""
 
 
-# key -> (required, type check, description)
+# key -> (required, kind); a one-element list kind is a list of that kind
 _SCHEMA = {
-    "n": (True, "int", "robot count"),
-    "prior_h0": (True, "float", "prior probability of the null hypothesis"),
-    "prior_h1": (True, "float", "prior probability of the event hypothesis"),
-    "p_fa_l": (True, "float", "legitimate sensor false-alarm rate"),
-    "p_md_l": (True, "float", "legitimate sensor missed-detection rate"),
-    "attack_p_fa_raw": (True, "float", "malicious raw false-alarm rate"),
-    "attack_p_md_raw": (True, "float", "malicious raw missed-detection rate"),
-    "attack_p_f": (True, "float", "malicious bit-flip probability"),
-    "trust_alphabet": (True, "list", "trust score symbols"),
-    "trust_pmf_legit": (True, "list", "score pmf for legitimate robots"),
-    "trust_pmf_malicious": (True, "list", "score pmf for malicious robots"),
-    "n_malicious": (True, "int", "number of malicious robots"),
-    "m_bar": (True, "float", "malicious proportion bound for the two-stage pipeline"),
-    "delta_p": (True, "float", "tie-break probability grid step"),
-    "trials": (True, "int", "trials per experiment"),
-    "seed": (True, "int", "root random seed"),
-    "methods": (True, "list", "decision methods to run"),
-    "sweep": (False, "list", "malicious fractions to sweep (optional)"),
+    "n": (True, "int"),
+    "prior_h0": (True, "float"),
+    "prior_h1": (True, "float"),
+    "p_fa_l": (True, "float"),
+    "p_md_l": (True, "float"),
+    "attack_p_fa_raw": (True, "float"),
+    "attack_p_md_raw": (True, "float"),
+    "attack_p_f": (True, "float"),
+    "trust_alphabet": (True, ["symbol"]),
+    "trust_pmf_legit": (True, ["float"]),
+    "trust_pmf_malicious": (True, ["float"]),
+    "n_malicious": (True, "int"),
+    "m_bar": (True, "float"),
+    "delta_p": (True, "float"),
+    "trials": (True, "int"),
+    "seed": (True, "int"),
+    "methods": (True, ["str"]),
+    "sweep": (False, ["float"]),
+}
+
+_KINDS = {
+    "int": (int, "an integer"),
+    "float": ((int, float), "a number"),
+    "str": (str, "a string"),
+    "symbol": ((int, float, str), "a number or a string"),
 }
 
 _PLOT_PALETTE = (
@@ -76,20 +83,17 @@ _PLOT_PALETTE = (
 )
 
 
-def _check_type(key: str, value, kind: str):
-    if kind == "int":
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"key {key!r} must be an integer, got {value!r}")
-        return value
-    if kind == "float":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"key {key!r} must be a number, got {value!r}")
-        return float(value)
-    if kind == "list":
+def _check_type(key: str, value, kind):
+    if isinstance(kind, list):
         if not isinstance(value, list):
             raise ConfigError(f"key {key!r} must be a list, got {value!r}")
+        for i, item in enumerate(value):
+            _check_type(f"{key}[{i}]", item, kind[0])
         return value
-    raise AssertionError(kind)
+    types, name = _KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(f"key {key!r} must be {name}, got {value!r}")
+    return float(value) if kind == "float" else value
 
 
 def _validate_raw(raw: dict) -> dict:
@@ -98,7 +102,7 @@ def _validate_raw(raw: dict) -> dict:
     unknown = sorted(set(raw) - set(_SCHEMA))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    missing = sorted(k for k, (req, _, _) in _SCHEMA.items() if req and k not in raw)
+    missing = sorted(k for k, (req, _) in _SCHEMA.items() if req and k not in raw)
     if missing:
         raise ConfigError(f"missing required config keys: {', '.join(missing)}")
     return {k: _check_type(k, v, _SCHEMA[k][1]) for k, v in raw.items()}
@@ -370,8 +374,6 @@ def _execute(raw: dict, out_dir: Path, stem: str, want_sweep: bool) -> int:
     started = _now()
     out_dir.mkdir(parents=True, exist_ok=True)
     if want_sweep:
-        if config.sweep is None:
-            raise ConfigError("sweep requested but the config has no 'sweep' key")
         results = sweep_malicious_fraction(config)
     else:
         results = [run_experiment(config)]

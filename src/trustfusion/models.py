@@ -60,8 +60,8 @@ class TrustModel:
                           ("pmf_malicious", self.pmf_malicious)):
             if len(pmf) != len(self.alphabet):
                 raise ValidationError(f"{name} length != alphabet length")
-            if any(q < 0.0 or q > 1.0 for q in pmf):
-                raise ValidationError(f"{name} has entries outside [0, 1]")
+            if not all(0.0 <= q <= 1.0 for q in pmf):
+                raise ValidationError(f"{name} has entries outside [0, 1] or NaN")
             if abs(sum(pmf) - 1.0) > _PMF_SUM_TOL:
                 raise ValidationError(f"{name} does not sum to 1: {sum(pmf)!r}")
         for sym, ql, qm in zip(self.alphabet, self.pmf_legit, self.pmf_malicious):
@@ -227,16 +227,8 @@ def effective_malicious_probs(strategy: MaliciousStrategy) -> tuple:
 
 
 def trust_lr(model: TrustModel, a) -> float:
-    """Likelihood ratio p(a | legit) / p(a | malicious) for one score symbol.
-
-    Returns ``inf`` if the malicious pmf were ever zero at ``a``; model
-    validation excludes that case, so the sentinel is defensive only.
-    """
-    j = model.symbol_index(a)
-    qm = model.pmf_malicious[j]
-    if qm == 0.0:
-        return math.inf
-    return model.ratios[j]
+    """Likelihood ratio p(a | legit) / p(a | malicious) for one score symbol."""
+    return model.ratios[model.symbol_index(a)]
 
 
 def ratio_set(model: TrustModel) -> list:

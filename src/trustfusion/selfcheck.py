@@ -3,7 +3,7 @@
 Two families of checks, both usable from tests with their full-strength
 parameters:
 
-* polynomial-scan decisions must agree exactly with the exponential
+* polynomial-time GLRT decisions must agree exactly with the exponential
   brute-force oracle (decision identical, branch maxima within tolerance);
 * the closed-form worst-case error of the two-stage pipeline must match a
   Monte Carlo simulation of the worst-case attack within binomial noise.
@@ -67,7 +67,7 @@ def random_instance(rng: np.random.Generator, n: int) -> tuple:
 
 def oracle_equivalence(n_values=range(1, 9), instances_per_n: int = 1000,
                        seed: int = 20426, tol: float = 1e-9) -> tuple:
-    """Compare the candidate-scan decision against brute force.
+    """Compare the count-domain GLRT decision against brute force.
 
     Returns ``(ok, messages)``; a message is emitted per network size plus
     one per mismatch (decision differs, or branch maxima differ beyond

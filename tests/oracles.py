@@ -12,6 +12,9 @@ import math
 from collections import deque
 from itertools import product
 
+from trustfusion.aglrt import candidate_set, inner_max
+from trustfusion.models import DecisionOutcome
+
 
 def fused_decision(ones: int, trusted: int, gamma_ts: float,
                    w1: float, w0: float) -> int:
@@ -146,6 +149,45 @@ def glrt_branch_max_by_enumeration(trial, trust, sensors, branch: int,
                 value += (n_mal - n_wrong) * math.log(1 - rate)
             best = max(best, value)
     return best
+
+
+def candidate_scan_branch_max(trial, trust, sensors, branch: int) -> tuple:
+    """Branch maximum ``(value, rate, t_hat)`` by scanning every candidate rate.
+
+    Evaluates the best labeling at each reduced fraction with denominator at
+    most n, in ascending order, and keeps the first strict maximum, so ties
+    keep the smallest rate. This is the rate-by-rate search the GLRT used
+    before its count-domain kernel; O(N^3), so keep n small. It calls
+    ``inner_max`` on purpose: exact equality needs the same per-robot sums.
+    """
+    best = (-math.inf, 0.0, None)
+    for rate in candidate_set(trial.n).values:
+        result = inner_max(rate, trial.a, trial.y, branch, trust, sensors)
+        if result.log_likelihood > best[0]:
+            best = (result.log_likelihood, rate, result.t_hat)
+    return best
+
+
+def candidate_scan_decide(trial, trust, sensors,
+                          prior_h0: float, prior_h1: float) -> DecisionOutcome:
+    """GLRT decision built from the candidate scan, written out in full."""
+    log_num, rate_num, t_num = candidate_scan_branch_max(trial, trust, sensors, 1)
+    log_den, rate_den, t_den = candidate_scan_branch_max(trial, trust, sensors, 0)
+    log_ratio = log_num - log_den
+    hypothesis = 1 if log_ratio > math.log(prior_h0) - math.log(prior_h1) else 0
+    t_hat, estimate = (t_num, rate_num) if hypothesis == 1 else (t_den, rate_den)
+    arbitrary = all(t_i == 1 for t_i in t_hat)
+    return DecisionOutcome(
+        hypothesis=hypothesis,
+        t_hat=t_hat,
+        adversary_estimate=0.0 if arbitrary else estimate,
+        diagnostics={
+            "log_num": log_num,
+            "log_den": log_den,
+            "log_ratio": log_ratio,
+            "adversary_estimate_arbitrary": 1.0 if arbitrary else 0.0,
+        },
+    )
 
 
 # --- count-domain referees -------------------------------------------------

@@ -5,9 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from oracles import glrt_branch_max_by_enumeration
+from oracles import (
+    candidate_scan_branch_max,
+    candidate_scan_decide,
+    glrt_branch_max_by_enumeration,
+)
 from trustfusion.aglrt import (
     BRUTE_FORCE_MAX_N,
+    _branch_max,
     aglrt_decide,
     brute_force_glrt,
     candidate_set,
@@ -188,6 +193,31 @@ class TestAglrtDecide:
                 # the dense grid only lower-bounds the exact maximum
                 assert out.diagnostics[key] >= reference - 1e-9
                 assert out.diagnostics[key] <= reference + 1e-3
+
+
+    def test_count_domain_search_equals_candidate_scan(self):
+        # exact equality, ties included: random instances plus models built
+        # so that labels and rates tie (symmetric scores and sensors, an
+        # uninformative symbol, sensor rates that are candidate fractions)
+        rng = np.random.default_rng(2718)
+        uninformative = TrustModel(alphabet=(0, 1, 2), pmf_legit=(0.5, 0.3, 0.2),
+                                   pmf_malicious=(0.5, 0.2, 0.3))
+        instances = [random_instance(rng, int(rng.integers(1, 31)))
+                     for _ in range(120)]
+        for trust in (BINARY_TRUST, uninformative):
+            for rates in ((0.15, 0.15), (0.25, 0.25), (0.1, 0.25), (0.2, 0.2)):
+                for n in range(1, 13):
+                    for _ in range(4):
+                        y = tuple(int(b) for b in rng.integers(0, 2, n))
+                        a = tuple(int(s) for s in rng.integers(0, len(trust.alphabet), n))
+                        instances.append((make_trial(y, a), trust,
+                                          LegitimateSensorModel(*rates), 0.5, 0.5))
+        for trial, trust, sensors, p0, p1 in instances:
+            for branch in (0, 1):
+                assert (_branch_max(trial.a, trial.y, branch, trust, sensors)
+                        == candidate_scan_branch_max(trial, trust, sensors, branch))
+            assert (aglrt_decide(trial, trust, sensors, p0, p1)
+                    == candidate_scan_decide(trial, trust, sensors, p0, p1))
 
 
 class TestBruteForce:

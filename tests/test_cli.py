@@ -180,6 +180,23 @@ class TestMain:
         assert manifest["seed"] == 42
         capsys.readouterr()
 
+    @pytest.mark.parametrize("key, value", [
+        ("trust_alphabet", [[0], [1]]),
+        ("trust_pmf_legit", ["abc", 0.8]),
+        ("trust_pmf_legit", ["0.2", 0.8]),
+        ("methods", [5]),
+    ])
+    def test_ill_typed_list_entry_exits_2(self, tmp_path, capsys, key, value):
+        path = write_config(tmp_path, overrides={key: value})
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_nan_trust_pmf_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, overrides={"trust_pmf_malicious": [float("nan"), 0.2]})
+        assert "NaN" in path.read_text()
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "pmf_malicious" in capsys.readouterr().err
+
     def test_sweep_requires_sweep_key(self, tmp_path, capsys):
         path = write_config(tmp_path)  # replica preset has no sweep key
         assert main(["sweep", "--config", str(path)]) == 2

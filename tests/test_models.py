@@ -124,6 +124,11 @@ class TestConstructionInvariants:
         with pytest.raises(ValidationError):
             TrustModel(alphabet=(0, 1), pmf_legit=(0.5, 0.6), pmf_malicious=(0.8, 0.2))
 
+    def test_nan_pmf_entry_rejected(self):
+        with pytest.raises(ValidationError, match="NaN"):
+            TrustModel(alphabet=(0, 1), pmf_legit=(float("nan"), 0.8),
+                       pmf_malicious=(0.8, 0.2))
+
     def test_zero_mass_symbol_rejected(self):
         with pytest.raises(ValidationError):
             TrustModel(alphabet=(0, 1), pmf_legit=(0.0, 1.0), pmf_malicious=(0.8, 0.2))
