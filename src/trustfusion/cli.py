@@ -70,6 +70,10 @@ _SCHEMA = {
     "sweep": (False, ["float"]),
 }
 
+# Largest robot count accepted: the largest N at which aglrt_decide has been
+# timed. Checked before the per-robot truth vector is built.
+_MAX_ROBOTS = 1000
+
 _KINDS = {
     "int": (int, "an integer"),
     "float": ((int, float), "a number"),
@@ -110,6 +114,8 @@ def _validate_raw(raw: dict) -> dict:
 
 def build_config(raw: dict) -> ExperimentConfig:
     """Build a validated experiment from a raw (already type-checked) dict."""
+    if raw["n"] > _MAX_ROBOTS:
+        raise ConfigError(f"key 'n' must be at most {_MAX_ROBOTS}, got {raw['n']!r}")
     try:
         trust = TrustModel(
             alphabet=tuple(raw["trust_alphabet"]),

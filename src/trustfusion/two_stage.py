@@ -7,6 +7,12 @@ The thresholds are chosen offline to minimize the exact worst-case error
 probability against an adversary that makes every trusted malicious robot
 report the wrong bit, which is the error-maximizing strategy whenever the
 legitimate sensors are better than coin flips.
+
+Under that attack the error depends only on how many legitimate and
+malicious robots are trusted. ``conditional_errors`` tabulates the false-alarm
+and missed-detection probability of every such count pair once, each as a
+lower binomial sum; a threshold pair only sets the binomial laws of the two
+counts, so each point of the minimax scan is one exact sum over that table.
 """
 
 from __future__ import annotations
@@ -14,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .models import (
     DecisionOutcome,
@@ -33,8 +41,7 @@ __all__ = [
     "accepts_h1",
     "fusion_statistic",
     "decide_hypothesis",
-    "conditional_fa",
-    "conditional_md",
+    "conditional_errors",
     "worst_case_malicious_count",
     "worst_case_error",
     "worst_case_error_by_counts",
@@ -43,6 +50,11 @@ __all__ = [
     "classify_trust",
     "run_two_stage",
 ]
+
+
+# Smallest tie-break grid step: bounds the grid of ceil(1/delta_p)+1 points
+# before any scan builds it.
+_MIN_DELTA_P = 1e-4
 
 
 @dataclass(frozen=True)
@@ -63,8 +75,8 @@ class TwoStageConfig:
         # all-malicious proportion bound; every formula stays valid there.
         if not 0.0 <= self.m_bar <= 1.0:
             raise ValidationError(f"m_bar={self.m_bar!r} outside [0, 1]")
-        if not 0.0 < self.delta_p <= 1.0:
-            raise ValidationError(f"delta_p={self.delta_p!r} outside (0, 1]")
+        if not _MIN_DELTA_P <= self.delta_p <= 1.0:
+            raise ValidationError(f"delta_p={self.delta_p!r} outside [{_MIN_DELTA_P}, 1]")
 
 
 @dataclass(frozen=True)
@@ -92,7 +104,8 @@ def trust_probabilities(model: TrustModel, gamma_t: float, p_t: float) -> tuple:
     A robot is trusted when its score's likelihood ratio strictly exceeds
     ``gamma_t``, and with probability ``p_t`` when it ties. Ties are decided
     by comparing the cached per-symbol ratios, so a threshold taken from
-    ``ratio_set`` matches exactly.
+    ``ratio_set`` matches exactly. Both sums are clamped to 1.0: a valid
+    pmf may sum to one ulp above it (0.33 + 0.56 + 0.11 does).
     """
     p_trust_l = 0.0
     p_trust_m = 0.0
@@ -103,7 +116,7 @@ def trust_probabilities(model: TrustModel, gamma_t: float, p_t: float) -> tuple:
         elif ratio == gamma_t:
             p_trust_l += p_t * ql
             p_trust_m += p_t * qm
-    return p_trust_l, p_trust_m
+    return min(p_trust_l, 1.0), min(p_trust_m, 1.0)
 
 
 def accepts_h1(ones: int, trusted: int, gamma_ts: float, w1: float, w0: float) -> bool:
@@ -140,52 +153,46 @@ def decide_hypothesis(y, t_hat, sensors: LegitimateSensorModel, gamma_ts: float)
     return 1 if accepts_h1(ones, trusted, gamma_ts, w1, w0) else 0
 
 
-def _min_accepting_ones(k_l: int, k_m_ones: int, trusted: int,
-                        gamma_ts: float, w1: float, w0: float) -> int:
-    """Smallest count of positive legitimate reports that triggers the event
-    decision, given ``k_m_ones`` positive reports already fixed among the
-    trusted malicious robots. Returns ``k_l + 1`` when no count does.
+def conditional_errors(n_legit: int, n_malicious: int, gamma_ts: float,
+                       sensors: LegitimateSensorModel) -> tuple:
+    """False-alarm and missed-detection tables over the trusted composition.
 
-    Scanning the actual decision predicate (instead of inverting it with a
-    ceiling) keeps the closed-form error and the simulated decisions in exact
-    agreement at integer boundary cases.
+    Returns ``(fa, md)``, two ``(n_legit+1, n_malicious+1)`` arrays: cell
+    ``[k_l, k_m]`` is the error probability when ``k_l`` legitimate and
+    ``k_m`` malicious robots are trusted and every trusted malicious robot
+    reports the wrong bit.
+
+    ``o[t]``, the fewest positive reports among ``t`` trusted robots that
+    ``accepts_h1`` accepts (``n+1`` if none), comes from the predicate itself
+    on one ``(n+1, n+1)`` array, so the tables agree with the simulated
+    decisions at every integer boundary. The predicate is nondecreasing in
+    the count, so a false alarm is at most ``t - o[t]`` correct 0s among the
+    ``k_l`` legitimate reports and a miss at most ``o[t] - 1`` correct 1s:
+    both lower binomial sums, never ``1 - cdf``.
     """
-    for s in range(k_l + 1):
-        if accepts_h1(s + k_m_ones, trusted, gamma_ts, w1, w0):
-            return s
-    return k_l + 1
+    n = n_legit + n_malicious
+    w1, w0 = fusion_weights(sensors)
+    counts = np.arange(n + 1)
+    accepts = accepts_h1(counts[:, None], counts[None, :], gamma_ts, w1, w0)
+    o = np.where(accepts.any(axis=0), accepts.argmax(axis=0), n + 1).tolist()
+    q_fa, q_md = 1.0 - sensors.p_fa_l, 1.0 - sensors.p_md_l
+    rows = [(k_l, range(k_l, k_l + n_malicious + 1)) for k_l in range(n_legit + 1)]
+    fa = np.array([[binom_cdf(t - o[t], q_fa, k_l) for t in ts] for k_l, ts in rows])
+    md = np.array([[binom_cdf(o[t] - 1, q_md, k_l) for t in ts] for k_l, ts in rows])
+    return fa, md
 
 
-def conditional_fa(k_l: int, k_m: int, gamma_ts: float,
-                   sensors: LegitimateSensorModel, w1: float, w0: float) -> float:
-    """False-alarm probability given the trusted-robot composition.
-
-    Under the worst-case attack every trusted malicious robot reports 1 when
-    the event is absent, so the decision hinges on the number of legitimate
-    false alarms among the ``k_l`` trusted legitimate robots.
+def _mixture_error(model: TrustModel, cost, gamma_t: float, p_t: float) -> float:
+    """Mean of ``cost[k_l, k_m]`` under the binomial trusted counts that the
+    thresholds ``(gamma_t, p_t)`` imply. ``math.fsum`` rounds the exact sum
+    of the cells once, so the value does not depend on BLAS, alignment or
+    loop order.
     """
-    c = _min_accepting_ones(k_l, k_m, k_l + k_m, gamma_ts, w1, w0)
-    if c == 0:
-        return 1.0
-    if c > k_l:
-        return 0.0
-    return 1.0 - binom_cdf(c - 1, sensors.p_fa_l, k_l)
-
-
-def conditional_md(k_l: int, k_m: int, gamma_ts: float,
-                   sensors: LegitimateSensorModel, w1: float, w0: float) -> float:
-    """Missed-detection probability given the trusted-robot composition.
-
-    Under the worst-case attack every trusted malicious robot reports 0 when
-    the event is present; a miss occurs when the positive reports of the
-    trusted legitimate robots stay below the accepting count.
-    """
-    c = _min_accepting_ones(k_l, 0, k_l + k_m, gamma_ts, w1, w0)
-    if c == 0:
-        return 0.0
-    if c > k_l:
-        return 1.0
-    return binom_cdf(c - 1, 1.0 - sensors.p_md_l, k_l)
+    p_trust_l, p_trust_m = trust_probabilities(model, gamma_t, p_t)
+    n_legit, n_malicious = cost.shape[0] - 1, cost.shape[1] - 1
+    pmf_l = np.array([binom_pmf(k, p_trust_l, n_legit) for k in range(n_legit + 1)])
+    pmf_m = np.array([binom_pmf(k, p_trust_m, n_malicious) for k in range(n_malicious + 1)])
+    return math.fsum((np.outer(pmf_l, pmf_m) * cost).ravel().tolist())
 
 
 def worst_case_malicious_count(m_bar: float, n: int) -> int:
@@ -208,21 +215,8 @@ def worst_case_error_by_counts(model: TrustModel, sensors: LegitimateSensorModel
     trust stage (both binomial), with every trusted malicious robot
     reporting the wrong bit deterministically.
     """
-    w1, w0 = fusion_weights(sensors)
-    p_trust_l, p_trust_m = trust_probabilities(model, gamma_t, p_t)
-    p_fa_total = 0.0
-    p_md_total = 0.0
-    for k_m in range(n_malicious + 1):
-        weight_m = binom_pmf(k_m, p_trust_m, n_malicious)
-        if weight_m == 0.0:
-            continue
-        for k_l in range(n_legit + 1):
-            weight = weight_m * binom_pmf(k_l, p_trust_l, n_legit)
-            if weight == 0.0:
-                continue
-            p_fa_total += weight * conditional_fa(k_l, k_m, gamma_ts, sensors, w1, w0)
-            p_md_total += weight * conditional_md(k_l, k_m, gamma_ts, sensors, w1, w0)
-    return prior_h0 * p_fa_total + prior_h1 * p_md_total
+    fa, md = conditional_errors(n_legit, n_malicious, gamma_ts, sensors)
+    return _mixture_error(model, prior_h0 * fa + prior_h1 * md, gamma_t, p_t)
 
 
 def worst_case_error(model: TrustModel, sensors: LegitimateSensorModel,
@@ -231,10 +225,8 @@ def worst_case_error(model: TrustModel, sensors: LegitimateSensorModel,
                      prior_h0: float, prior_h1: float) -> float:
     """Worst-case error of the pipeline at the given thresholds."""
     n_malicious = worst_case_malicious_count(config.m_bar, n)
-    return worst_case_error_by_counts(
-        model, sensors, config.gamma_ts, prior_h0, prior_h1,
-        n - n_malicious, n_malicious, gamma_t, p_t,
-    )
+    return worst_case_error_by_counts(model, sensors, config.gamma_ts, prior_h0, prior_h1,
+                                      n - n_malicious, n_malicious, gamma_t, p_t)
 
 
 def tie_break_grid(delta_p: float) -> list:
@@ -256,16 +248,23 @@ def optimize_thresholds(model: TrustModel, sensors: LegitimateSensorModel,
     """Exhaustive minimax scan over the finite threshold grid.
 
     The trust threshold only needs to range over the per-symbol likelihood
-    ratios; the tie probability ranges over the ``delta_p`` grid. Ties in
-    the objective break toward the smaller threshold, then the smaller tie
-    probability, so results are reproducible.
+    ratios; the tie probability ranges over the ``delta_p`` grid. The cost
+    table ``prior_h0*fa + prior_h1*md`` is built once per call, and each
+    point evaluates it as ``worst_case_error_by_counts`` does.
+
+    Points are visited by ascending ``gamma_t``, then ``p_t``, and only a
+    strictly smaller error replaces the best, so ties keep the first point;
+    duplicates such as ``(r_{j-1}, 0)`` and ``(r_j, 1)`` have bit-identical
+    trust probabilities and resolve to the earlier one.
     """
+    n_malicious = worst_case_malicious_count(config.m_bar, n)
+    fa, md = conditional_errors(n - n_malicious, n_malicious, config.gamma_ts, sensors)
+    cost = prior_h0 * fa + prior_h1 * md
     best: ThresholdChoice | None = None
     grid = tie_break_grid(config.delta_p)
     for gamma_t in ratio_set(model):
         for p_t in grid:
-            pe = worst_case_error(model, sensors, config, n, gamma_t, p_t,
-                                  prior_h0, prior_h1)
+            pe = _mixture_error(model, cost, gamma_t, p_t)
             if best is None or pe < best.worst_case_pe:
                 best = ThresholdChoice(gamma_t=gamma_t, p_t=p_t, worst_case_pe=pe)
     assert best is not None

@@ -85,6 +85,17 @@ class TestParseConfig:
         assert config.seed == 123
         assert config.trials == 7
 
+    def test_sizes_bounded_before_building(self):
+        # both are rejected before the robot vector or the grid is allocated
+        for key, value in (("n", 1001), ("delta_p", 5e-5)):
+            raw = preset_config("hardware-replica")
+            raw[key] = value
+            with pytest.raises(ConfigError, match=key):
+                build_config(raw)
+        raw = preset_config("hardware-replica")
+        raw.update(n=1000, delta_p=1e-4)
+        assert build_config(raw).scenario.n == 1000
+
     def test_non_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("not json {")
@@ -196,6 +207,18 @@ class TestMain:
         assert "NaN" in path.read_text()
         assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert "pmf_malicious" in capsys.readouterr().err
+
+    def test_pmf_summing_one_ulp_above_one_runs(self, tmp_path, capsys):
+        # 0.33 + 0.56 + 0.11 == 1.0000000000000002: trusting every symbol
+        # must still give a trust probability of at most 1
+        path = write_config(tmp_path, overrides={
+            "trust_alphabet": [0, 1, 2],
+            "trust_pmf_legit": [0.33, 0.56, 0.11],
+            "trust_pmf_malicious": [0.5, 0.2, 0.3],
+            "methods": ["2sa"],
+        })
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
 
     def test_sweep_requires_sweep_key(self, tmp_path, capsys):
         path = write_config(tmp_path)  # replica preset has no sweep key

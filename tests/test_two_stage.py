@@ -1,19 +1,31 @@
 """Two-stage pipeline: hand examples, enumeration cross-checks, properties."""
 
 import math
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from oracles import exact_two_stage_error, exact_fixed_trust_error
-from trustfusion.models import LegitimateSensorModel, MaliciousStrategy, Scenario, TrustModel
+from oracles import (
+    exact_fixed_trust_error,
+    exact_two_stage_error,
+    exact_two_stage_error_by_counts,
+)
+from trustfusion.cli import build_config, preset_config
+from trustfusion.models import (
+    LegitimateSensorModel,
+    MaliciousStrategy,
+    Scenario,
+    TrustModel,
+    ValidationError,
+)
 from trustfusion.simulator import sample_trial, substream
 from trustfusion.two_stage import (
     ThresholdChoice,
     TwoStageConfig,
     classify_trust,
-    conditional_fa,
-    conditional_md,
+    conditional_errors,
     decide_hypothesis,
     fusion_weights,
     optimize_thresholds,
@@ -39,6 +51,24 @@ def random_binary_trust(rng):
         if abs(ql - qm) > 0.02:
             return TrustModel(alphabet=(0, 1), pmf_legit=(1 - ql, ql),
                               pmf_malicious=(1 - qm, qm))
+
+
+def random_trust(rng, size):
+    while True:
+        ql = rng.uniform(0.05, 1.0, size)
+        qm = rng.uniform(0.05, 1.0, size)
+        ql, qm = ql / ql.sum(), qm / qm.sum()
+        if np.abs(ql - qm).max() > 0.02:
+            return TrustModel(alphabet=tuple(range(size)),
+                              pmf_legit=tuple(float(q) for q in ql),
+                              pmf_malicious=tuple(float(q) for q in qm))
+
+
+def exact_binom_sum(n, p, successes):
+    """Exact Binomial(n, p) mass of ``successes``, with ``p`` taken as the
+    exact value of its double."""
+    p = Fraction(p)
+    return sum(math.comb(n, i) * p ** i * (1 - p) ** (n - i) for i in successes)
 
 
 class TestFusionWeights:
@@ -86,31 +116,41 @@ class TestTrustProbabilities:
 
 
 class TestConditionalErrors:
+    # cell [k_l, k_m] of the (fa, md) tables for symmetric sensors
+
     def test_fa_threshold_already_crossed(self):
-        w1, w0 = fusion_weights(SYMMETRIC_SENSORS)
-        assert conditional_fa(0, 3, 0.0, SYMMETRIC_SENSORS, w1, w0) == 1.0
+        fa, _ = conditional_errors(0, 3, 0.0, SYMMETRIC_SENSORS)
+        assert fa.shape == (1, 4)
+        assert fa[0, 3] == 1.0
 
     def test_fa_nothing_trusted_positive_threshold(self):
-        w1, w0 = fusion_weights(SYMMETRIC_SENSORS)
-        assert conditional_fa(0, 0, 0.5, SYMMETRIC_SENSORS, w1, w0) == 0.0
+        fa, _ = conditional_errors(0, 0, 0.5, SYMMETRIC_SENSORS)
+        assert fa[0, 0] == 0.0
 
     def test_fa_two_legit(self):
-        w1, w0 = fusion_weights(SYMMETRIC_SENSORS)
-        value = conditional_fa(2, 0, 0.0, SYMMETRIC_SENSORS, w1, w0)
-        assert value == pytest.approx(1 - 0.85 ** 2, abs=1e-12)  # = 0.2775
+        fa, _ = conditional_errors(2, 0, 0.0, SYMMETRIC_SENSORS)
+        assert fa[2, 0] == pytest.approx(1 - 0.85 ** 2, abs=1e-12)  # = 0.2775
 
     def test_md_nothing_trusted_nonpositive_threshold(self):
-        w1, w0 = fusion_weights(SYMMETRIC_SENSORS)
-        assert conditional_md(0, 0, 0.0, SYMMETRIC_SENSORS, w1, w0) == 0.0
+        _, md = conditional_errors(0, 0, 0.0, SYMMETRIC_SENSORS)
+        assert md[0, 0] == 0.0
 
     def test_md_all_malicious_trusted(self):
-        w1, w0 = fusion_weights(SYMMETRIC_SENSORS)
-        assert conditional_md(0, 4, 0.0, SYMMETRIC_SENSORS, w1, w0) == 1.0
+        _, md = conditional_errors(0, 4, 0.0, SYMMETRIC_SENSORS)
+        assert md[0, 4] == 1.0
 
     def test_md_two_legit(self):
-        w1, w0 = fusion_weights(SYMMETRIC_SENSORS)
-        value = conditional_md(2, 0, 0.0, SYMMETRIC_SENSORS, w1, w0)
-        assert value == pytest.approx(0.15 ** 2, abs=1e-12)  # = 0.0225
+        _, md = conditional_errors(2, 0, 0.0, SYMMETRIC_SENSORS)
+        assert md.shape == (3, 1)
+        assert md[2, 0] == pytest.approx(0.15 ** 2, abs=1e-12)  # = 0.0225
+
+    def test_fa_far_upper_tail_is_exact(self):
+        # 50 or more false alarms among 100 trusted robots at p_fa = 0.05;
+        # formed as 1 - cdf this cancels to exactly 0.0
+        fa, _ = conditional_errors(100, 0, 0.0, LegitimateSensorModel(0.05, 0.05))
+        exact = exact_binom_sum(100, 0.05, range(50, 101))
+        assert float(exact) == pytest.approx(7.2693e-38, rel=1e-4)
+        assert fa[100, 0] == pytest.approx(float(exact), rel=1e-12, abs=0.0)
 
 
 class TestDecideHypothesis:
@@ -156,25 +196,27 @@ class TestClassifyTrust:
 class TestWorstCaseError:
     def test_matches_enumeration_at_worst_case(self):
         # closed-form binomial marginalization vs exhaustive (y, t_hat) sum
+        # over 2- to 4-symbol alphabets, with no, some and only malicious robots
         rng = np.random.default_rng(17)
         for _ in range(12):
             n = int(rng.integers(1, 7))
-            model = random_binary_trust(rng)
+            model = random_trust(rng, int(rng.integers(2, 5)))
             sensors = LegitimateSensorModel(float(rng.uniform(0.05, 0.45)),
                                             float(rng.uniform(0.05, 0.45)))
             prior_h0 = float(rng.uniform(0.2, 0.8))
-            n_mal = int(rng.integers(0, n + 1))
             gamma_ts = math.log(prior_h0 / (1 - prior_h0))
-            gamma_t = ratio_set(model)[int(rng.integers(0, 2))]
+            ratios = ratio_set(model)
+            gamma_t = ratios[int(rng.integers(0, len(ratios)))]
             p_t = float(rng.choice([0.0, 0.3, 1.0]))
-            closed = worst_case_error_by_counts(
-                model, sensors, gamma_ts, prior_h0, 1 - prior_h0,
-                n - n_mal, n_mal, gamma_t, p_t)
-            truth = tuple([0] * n_mal + [1] * (n - n_mal))
-            enumerated = exact_two_stage_error(
-                model, sensors, gamma_ts, prior_h0, 1 - prior_h0,
-                gamma_t, p_t, truth, 1.0, 1.0)
-            assert closed == pytest.approx(enumerated, abs=1e-10)
+            for n_mal in sorted({0, int(rng.integers(0, n + 1)), n}):
+                closed = worst_case_error_by_counts(
+                    model, sensors, gamma_ts, prior_h0, 1 - prior_h0,
+                    n - n_mal, n_mal, gamma_t, p_t)
+                truth = tuple([0] * n_mal + [1] * (n - n_mal))
+                enumerated = exact_two_stage_error(
+                    model, sensors, gamma_ts, prior_h0, 1 - prior_h0,
+                    gamma_t, p_t, truth, 1.0, 1.0)
+                assert closed == pytest.approx(enumerated, abs=1e-10)
 
     def test_no_adversary_bound_equals_standard_fusion(self):
         # with a zero malicious bound and everything trusted, the closed form
@@ -290,6 +332,13 @@ class TestMaliciousCount:
         assert worst_case_malicious_count(0.3, 10) == 3
 
 
+class TestTwoStageConfig:
+    def test_grid_step_is_bounded_below(self):
+        assert TwoStageConfig(m_bar=0.5, delta_p=1e-4, gamma_ts=0.0).delta_p == 1e-4
+        with pytest.raises(ValidationError, match="delta_p"):
+            TwoStageConfig(m_bar=0.5, delta_p=9.9e-5, gamma_ts=0.0)
+
+
 class TestTieBreakGrid:
     def test_endpoints_and_size(self):
         grid = tie_break_grid(0.01)
@@ -337,6 +386,60 @@ class TestOptimizeThresholds:
         expected = exact_fixed_trust_error(SYMMETRIC_SENSORS, 0.0, 0.5, 0.5,
                                            (1,) * 5)
         assert choice.worst_case_pe == pytest.approx(expected, abs=1e-12)
+
+    def test_choice_minimizes_count_referee(self):
+        # the count-domain oracle, evaluated at every grid point, is never
+        # lower than at the chosen point (and agrees with the certified bound)
+        rng = np.random.default_rng(61)
+        for _ in range(12):
+            model = random_trust(rng, int(rng.integers(2, 5)))
+            sensors = LegitimateSensorModel(float(rng.uniform(0.05, 0.45)),
+                                            float(rng.uniform(0.05, 0.45)))
+            prior_h0 = float(rng.uniform(0.2, 0.8))
+            gamma_ts = math.log(prior_h0 / (1 - prior_h0))
+            n = int(rng.integers(1, 9))
+            m_bar = float(rng.choice([0.0, float(rng.uniform(0, 1)), 1.0]))
+            n_mal = worst_case_malicious_count(m_bar, n)
+            config = TwoStageConfig(m_bar=m_bar, delta_p=0.1, gamma_ts=gamma_ts)
+            choice = optimize_thresholds(model, sensors, config, n, prior_h0, 1 - prior_h0)
+
+            def referee(gamma_t, p_t):
+                return exact_two_stage_error_by_counts(
+                    model, sensors, gamma_ts, prior_h0, 1 - prior_h0,
+                    gamma_t, p_t, n - n_mal, n_mal, 1.0, 1.0)
+
+            best = min(referee(g, p) for g in ratio_set(model) for p in tie_break_grid(0.1))
+            chosen = referee(choice.gamma_t, choice.p_t)
+            assert chosen == pytest.approx(best, abs=1e-12)
+            assert choice.worst_case_pe == pytest.approx(chosen, abs=1e-12)
+
+    def test_preset_choices_are_pinned(self):
+        pinned = {
+            "numerical-study": ([(0.25, 1.0), (0.25, 0.82)] + [(0.25, 0.0)] * 6
+                                + [(4.0, 0.0)] * 3),
+            "hardware-replica": [(0.1985798531712601, 0.0)],
+        }
+        for preset, expected in pinned.items():
+            config = build_config(preset_config(preset))
+            sc = config.scenario
+            chosen = [
+                optimize_thresholds(sc.trust, sc.sensors, replace(config.two_stage, m_bar=m),
+                                    sc.n, sc.prior_h0, sc.prior_h1)
+                for m in config.sweep or (config.two_stage.m_bar,)
+            ]
+            assert [(c.gamma_t, c.p_t) for c in chosen] == expected, preset
+
+    def test_trust_everyone_bound_is_exact_at_n40(self):
+        # no malicious bound at N=40: everyone is trusted and the bound is the
+        # plain fused error, >= 20 false alarms or <= 19 detections of 40
+        config = TwoStageConfig(m_bar=0.0, delta_p=0.01, gamma_ts=0.0)
+        choice = optimize_thresholds(BINARY_TRUST, SYMMETRIC_SENSORS, config, 40,
+                                     0.5, 0.5)
+        exact = (exact_binom_sum(40, 0.15, range(20, 41))
+                 + exact_binom_sum(40, 1 - Fraction(0.15), range(20))) / 2
+        assert (choice.gamma_t, choice.p_t) == (0.25, 1.0)
+        assert float(exact) == 1.239592259455071e-07
+        assert choice.worst_case_pe == pytest.approx(float(exact), rel=1e-12, abs=0.0)
 
     def test_grid_refinement_never_hurts(self):
         config_for = lambda dp: TwoStageConfig(m_bar=0.5, delta_p=dp,
