@@ -43,13 +43,14 @@ from .aglrt import (
     inner_max,
     mle_adversary_param,
 )
-from .baselines import ReputationState, oblivious_decide, oracle_decide, reputation_decide
+from .baselines import oblivious_decide, oracle_decide, reputation_decide
 from .simulator import (
     ExperimentConfig,
     ExperimentResult,
     MethodStats,
     run_experiment,
     sample_trial,
+    sample_trials,
     sweep_malicious_fraction,
 )
 
@@ -82,7 +83,6 @@ __all__ = [
     "candidate_set",
     "inner_max",
     "mle_adversary_param",
-    "ReputationState",
     "oblivious_decide",
     "oracle_decide",
     "reputation_decide",
@@ -91,5 +91,6 @@ __all__ = [
     "MethodStats",
     "run_experiment",
     "sample_trial",
+    "sample_trials",
     "sweep_malicious_fraction",
 ]

@@ -5,105 +5,59 @@ robots they include. The reputation decider keeps a rolling per-robot history
 of agreement with its own past decisions and drops robots that disagreed too
 often, which is the classic data-driven defense that assumes an honest
 majority.
+
+Each decider takes a ``(T, n)`` stack of reports, one trial per row, and
+returns the ``(T,)`` hypotheses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numpy as np
 
-from .models import DecisionOutcome, LegitimateSensorModel, Trial, ValidationError
-from .two_stage import decide_hypothesis, fusion_statistic
+from .models import LegitimateSensorModel, ValidationError
+from .two_stage import decide_hypothesis
 
 __all__ = [
-    "ReputationState",
     "oracle_decide",
     "oblivious_decide",
     "reputation_decide",
 ]
 
 
-def oracle_decide(trial: Trial, sensors: LegitimateSensorModel,
-                  gamma_ts: float) -> DecisionOutcome:
+def oracle_decide(y, truth, sensors: LegitimateSensorModel, gamma_ts: float):
     """Clairvoyant reference: fuses legitimate robots only (truth known)."""
-    t_hat = trial.truth
-    hypothesis = decide_hypothesis(trial.y, t_hat, sensors, gamma_ts)
-    return DecisionOutcome(
-        hypothesis=hypothesis,
-        t_hat=tuple(t_hat),
-        diagnostics={"s_n": fusion_statistic(trial.y, t_hat, sensors)},
-    )
+    return decide_hypothesis(y, truth, sensors, gamma_ts)
 
 
-def oblivious_decide(trial: Trial, sensors: LegitimateSensorModel,
-                     gamma_ts: float) -> DecisionOutcome:
-    """Trusts every robot; no legitimacy estimate is produced."""
-    all_ones = (1,) * trial.n
-    hypothesis = decide_hypothesis(trial.y, all_ones, sensors, gamma_ts)
-    return DecisionOutcome(
-        hypothesis=hypothesis,
-        diagnostics={"s_n": fusion_statistic(trial.y, all_ones, sensors)},
-    )
+def oblivious_decide(y, sensors: LegitimateSensorModel, gamma_ts: float):
+    """Trusts every robot."""
+    return decide_hypothesis(y, np.ones(np.shape(y)[-1], dtype=np.int8), sensors,
+                             gamma_ts)
 
 
-@dataclass(frozen=True)
-class ReputationState:
-    """Rolling disagreement history per robot.
+def reputation_decide(y, sensors: LegitimateSensorModel, gamma_ts: float,
+                      window: int, threshold: float):
+    """Reputation-filtered decisions, one trial after another.
 
-    ``histories[i]`` holds 0/1 disagreement marks of robot ``i`` against the
-    decider's own past decisions, most recent last, at most ``window``
-    entries. Robots with at least ``threshold`` marked disagreements inside
-    the window are excluded from the next decision, and are re-admitted once
-    their windowed count drops back below the threshold.
+    Every robot keeps 0/1 marks of disagreement with the decider's own past
+    decisions, at most ``window`` of them. A robot with at least
+    ``threshold`` marks inside the window is excluded from the next
+    decision and re-admitted once its count drops back below the threshold.
+    After each decision every robot, excluded or not, is marked by whether
+    its report disagreed with it.
     """
-
-    window: int
-    threshold: float
-    histories: tuple
-
-    def __post_init__(self) -> None:
-        if self.window < 1:
-            raise ValidationError(f"history window {self.window!r} must be >= 1")
-        if not self.threshold < self.window:
-            raise ValidationError(
-                f"exclusion threshold {self.threshold!r} must be below the "
-                f"window size {self.window!r}"
-            )
-        if any(len(h) > self.window for h in self.histories):
-            raise ValidationError("history longer than the window")
-
-    @classmethod
-    def initial(cls, n: int, window: int, threshold: float) -> "ReputationState":
-        return cls(window=window, threshold=threshold, histories=((),) * n)
-
-    def included(self) -> tuple:
-        """1 for robots currently below the disagreement threshold."""
-        return tuple(0 if sum(h) >= self.threshold else 1 for h in self.histories)
-
-
-def reputation_decide(trial: Trial, state: ReputationState,
-                      sensors: LegitimateSensorModel,
-                      gamma_ts: float) -> tuple:
-    """One reputation-filtered decision plus the updated state.
-
-    The current decision uses history from earlier trials only; afterwards
-    each robot's history is extended with whether its report disagreed with
-    the decision just made. Excluded robots keep accumulating history so
-    they can be re-admitted.
-    """
-    included = state.included()
-    hypothesis = decide_hypothesis(trial.y, included, sensors, gamma_ts)
-    new_histories = tuple(
-        (h + (1 if y_i != hypothesis else 0,))[-state.window:]
-        for h, y_i in zip(state.histories, trial.y)
-    )
-    outcome = DecisionOutcome(
-        hypothesis=hypothesis,
-        t_hat=included,
-        diagnostics={
-            "s_n": fusion_statistic(trial.y, included, sensors),
-            "included": float(sum(included)),
-        },
-    )
-    new_state = ReputationState(window=state.window, threshold=state.threshold,
-                                histories=new_histories)
-    return outcome, new_state
+    if window < 1:
+        raise ValidationError(f"history window {window!r} must be >= 1")
+    if not threshold < window:
+        raise ValidationError(
+            f"exclusion threshold {threshold!r} must be below the window size {window!r}"
+        )
+    y = np.asarray(y)
+    # row t % window holds the marks of trial t until trial t + window
+    marks = np.zeros((window, y.shape[1]), dtype=np.int8)
+    hypotheses = np.empty(len(y), dtype=np.int8)
+    for t, y_t in enumerate(y):
+        hypotheses[t] = decide_hypothesis(y_t, marks.sum(axis=0) < threshold, sensors,
+                                          gamma_ts)
+        marks[t % window] = y_t != hypotheses[t]
+    return hypotheses

@@ -74,6 +74,11 @@ _SCHEMA = {
 # timed. Checked before the per-robot truth vector is built.
 _MAX_ROBOTS = 1000
 
+# Largest trials * n accepted: each point's stream is held as (trials, n)
+# one-byte arrays of reports and scores (200 MB at this cap), and deciding it
+# peaks near 9 bytes per cell (2sa's tie draws are float64), about 1 GB.
+_MAX_CELLS = 10**8
+
 _KINDS = {
     "int": (int, "an integer"),
     "float": ((int, float), "a number"),
@@ -114,8 +119,15 @@ def _validate_raw(raw: dict) -> dict:
 
 def build_config(raw: dict) -> ExperimentConfig:
     """Build a validated experiment from a raw (already type-checked) dict."""
+    if raw["seed"] < 0:
+        raise ConfigError(f"key 'seed' must be nonnegative, got {raw['seed']!r}")
     if raw["n"] > _MAX_ROBOTS:
         raise ConfigError(f"key 'n' must be at most {_MAX_ROBOTS}, got {raw['n']!r}")
+    if raw["trials"] * raw["n"] > _MAX_CELLS:
+        raise ConfigError(
+            f"key 'trials' times 'n' must be at most {_MAX_CELLS}, got "
+            f"{raw['trials']!r} * {raw['n']!r}"
+        )
     try:
         trust = TrustModel(
             alphabet=tuple(raw["trust_alphabet"]),

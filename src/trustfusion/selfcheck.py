@@ -17,11 +17,12 @@ import numpy as np
 
 from .aglrt import aglrt_decide, brute_force_glrt
 from .models import LegitimateSensorModel, MaliciousStrategy, Scenario, Trial, TrustModel
-from .simulator import sample_trial, substream
+from .simulator import sample_trials, substream
 from .two_stage import (
     TwoStageConfig,
+    classify_trust,
+    decide_hypothesis,
     optimize_thresholds,
-    run_two_stage,
     worst_case_error,
     worst_case_malicious_count,
 )
@@ -151,15 +152,11 @@ def closed_form_vs_monte_carlo(n_configs: int = 5, trials: int = 100_000,
             thresholds.gamma_t, thresholds.p_t,
             scenario.prior_h0, scenario.prior_h1,
         )
-        stream = substream(seed + idx, 0)
-        tie_rng = substream(seed + idx, 1)
-        errors = 0
-        for _ in range(trials):
-            trial = sample_trial(scenario, stream)
-            outcome = run_two_stage(trial, thresholds, scenario.trust,
-                                    scenario.sensors, config.gamma_ts, tie_rng)
-            errors += outcome.hypothesis != trial.xi
-        empirical = errors / trials
+        xi, y, a_idx = sample_trials(scenario, substream(seed + idx, 0), trials)
+        t_hat = classify_trust(scenario.trust, thresholds.gamma_t, thresholds.p_t,
+                               a_idx, substream(seed + idx, 1))
+        hypotheses = decide_hypothesis(y, t_hat, scenario.sensors, config.gamma_ts)
+        empirical = np.count_nonzero(hypotheses != xi) / trials
         sigma = math.sqrt(max(predicted * (1.0 - predicted), 1e-12) / trials)
         gap = abs(empirical - predicted)
         line = (

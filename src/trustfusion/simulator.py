@@ -13,17 +13,19 @@ import hashlib
 import re
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .aglrt import aglrt_decide
-from .baselines import ReputationState, oblivious_decide, oracle_decide, reputation_decide
-from .models import DecisionOutcome, Scenario, Trial, ValidationError
+from .baselines import oblivious_decide, oracle_decide, reputation_decide
+from .models import Scenario, Trial, ValidationError
 from .two_stage import (
     TwoStageConfig,
+    classify_trust,
+    decide_hypothesis,
     optimize_thresholds,
-    run_two_stage,
+    run_two_stage,  # noqa: F401  -- unused here; bench/run.py traces this name
     worst_case_malicious_count,
 )
 
@@ -35,6 +37,7 @@ __all__ = [
     "parse_method",
     "substream",
     "place_malicious",
+    "sample_trials",
     "sample_trial",
     "run_experiment",
     "sweep_malicious_fraction",
@@ -44,6 +47,10 @@ __all__ = [
 _STREAM_TRIALS = 0
 _STREAM_TIES = 1
 _STREAM_PLACEMENT = 2
+
+# Trials drawn per generator call: bounds the uniforms held at once to
+# _BLOCK * (3n + 1) doubles whatever the trial count.
+_BLOCK = 1024
 
 _BASELINE_ALIASES = {"baseline1": (1, 0.5), "baseline5": (5, 2.5)}
 _BASELINE_PATTERN = re.compile(r"^baseline\((\d+),([0-9.]+)\)$")
@@ -142,64 +149,82 @@ def substream(seed: int, stream: int, index: int = 0) -> np.random.Generator:
                                                         spawn_key=(stream, index)))
 
 
-def sample_trial(scenario: Scenario, rng: np.random.Generator) -> Trial:
-    """Draw one trial: event bit, reported measurements, trust scores.
+def sample_trials(scenario: Scenario, rng: np.random.Generator, count: int) -> tuple:
+    """Draw ``count`` trials as arrays ``(xi, y, a_idx)``.
 
-    Malicious robots measure with their raw error rates and then invert the
-    bit with the flip probability; trust scores are drawn from the pmf of
-    the robot's true type, independent of everything else. The number of
-    uniforms consumed per trial is fixed, so streams stay aligned whatever
-    the truth vector contains.
+    ``xi`` is the ``(count,)`` event bits and ``y`` the ``(count, n)``
+    reported measurements, both ``int8``; ``a_idx`` is the ``(count, n)``
+    trust scores as positions in the scenario's alphabet, in the smallest
+    unsigned integer type that holds them. Malicious robots measure with their raw
+    error rates and then invert the bit with the flip probability; trust
+    scores are drawn from the pmf of the robot's true type, independent of
+    everything else.
+
+    Each trial consumes ``3n + 1`` uniforms in a fixed order (event, raw
+    errors, flips, scores), whatever the truth vector contains, so the
+    stream stays aligned and ``count`` trials drawn at once equal ``count``
+    draws of one. A score is the first symbol whose running pmf sum exceeds
+    its uniform, and the last symbol if none does.
     """
     n = scenario.n
-    u_xi = rng.random()
-    u_raw = rng.random(n)
-    u_flip = rng.random(n)
-    u_score = rng.random(n)
-    xi = 1 if u_xi < scenario.prior_h1 else 0
-    sensors = scenario.sensors
-    attack = scenario.attack
-    wrong_legit = sensors.p_fa_l if xi == 0 else sensors.p_md_l
-    wrong_raw = attack.p_fa_m_raw if xi == 0 else attack.p_md_m_raw
-    y = []
-    for i, t_i in enumerate(scenario.truth):
-        if t_i == 1:
-            wrong = u_raw[i] < wrong_legit
-        else:
-            wrong = (u_raw[i] < wrong_raw) != (u_flip[i] < attack.p_f)
-        y.append(xi ^ int(wrong))
-    trust = scenario.trust
-    a = []
-    for i, t_i in enumerate(scenario.truth):
-        pmf = trust.pmf_legit if t_i == 1 else trust.pmf_malicious
-        u = u_score[i]
-        acc = 0.0
-        chosen = trust.alphabet[-1]
-        for sym, q in zip(trust.alphabet, pmf):
-            acc += q
-            if u < acc:
-                chosen = sym
-                break
-        a.append(chosen)
-    return Trial(xi=xi, y=tuple(y), a=tuple(a), truth=tuple(scenario.truth))
+    sensors, attack, trust = scenario.sensors, scenario.attack, scenario.trust
+    legit = np.array(scenario.truth, dtype=bool)
+    cum_legit = np.cumsum(trust.pmf_legit)
+    cum_malicious = np.cumsum(trust.pmf_malicious)
+    last = len(trust.alphabet) - 1
+    xi = np.empty(count, dtype=np.int8)
+    y = np.empty((count, n), dtype=np.int8)
+    a_idx = np.empty((count, n), dtype=np.min_scalar_type(last))
+    for start in range(0, count, _BLOCK):
+        u = rng.random((min(_BLOCK, count - start), 3 * n + 1))
+        rows = slice(start, start + len(u))
+        h1 = u[:, :1] < scenario.prior_h1
+        u_raw, u_flip, u_score = u[:, 1:n + 1], u[:, n + 1:2 * n + 1], u[:, 2 * n + 1:]
+        wrong_legit = u_raw < np.where(h1, sensors.p_md_l, sensors.p_fa_l)
+        wrong_malicious = ((u_raw < np.where(h1, attack.p_md_m_raw, attack.p_fa_m_raw))
+                           != (u_flip < attack.p_f))
+        xi[rows] = h1[:, 0]
+        y[rows] = h1 ^ np.where(legit, wrong_legit, wrong_malicious)
+        a_idx[rows] = np.minimum(np.where(legit,
+                                          np.searchsorted(cum_legit, u_score, "right"),
+                                          np.searchsorted(cum_malicious, u_score, "right")),
+                                 last)
+    return xi, y, a_idx
 
 
-def _stream_digest(trials) -> str:
+def _rows(scenario: Scenario, xi, y, a_idx):
+    """The trials of a stream one at a time as ``(xi, y, a)`` with plain
+    Python values and ``a`` in alphabet symbols."""
+    symbols = scenario.trust.alphabet
+    for start in range(0, len(xi), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        for x, y_row, a_row in zip(xi[block].tolist(), y[block].tolist(),
+                                   a_idx[block].tolist()):
+            yield x, tuple(y_row), tuple([symbols[j] for j in a_row])
+
+
+def sample_trial(scenario: Scenario, rng: np.random.Generator) -> Trial:
+    """Draw one trial: the one-row case of :func:`sample_trials`."""
+    xi, y, a = next(_rows(scenario, *sample_trials(scenario, rng, 1)))
+    return Trial(xi=xi, y=y, a=a, truth=tuple(scenario.truth))
+
+
+def _stream_digest(scenario: Scenario, stream: tuple) -> str:
     h = hashlib.sha256()
-    for trial in trials:
-        h.update(repr((trial.xi, trial.y, trial.a)).encode())
+    for row in _rows(scenario, *stream):
+        h.update(repr(row).encode())
     return h.hexdigest()
 
 
-def _make_decider(name: str, config: ExperimentConfig,
-                  point_index: int) -> Callable[[Trial], DecisionOutcome]:
-    """Build the per-trial decision callable for one method.
+def _decide(name: str, config: ExperimentConfig, point_index: int, stream: tuple):
+    """One method's hypotheses over a point's whole ``(xi, y, a_idx)`` stream.
 
-    Stateful methods (reputation, the two-stage tie-break stream) close over
-    their own state; the trial stream itself is never touched.
+    The two-stage tie-breaks draw from their own substream, so the trial
+    stream itself is never touched.
     """
     scenario = config.scenario
     gamma_ts = scenario.gamma_ts
+    _, y, a_idx = stream
     kind, params = parse_method(name)
     if kind == "2sa":
         thresholds = optimize_thresholds(
@@ -207,62 +232,47 @@ def _make_decider(name: str, config: ExperimentConfig,
             scenario.prior_h0, scenario.prior_h1,
         )
         tie_rng = substream(config.seed, _STREAM_TIES, point_index)
-
-        def decide(trial: Trial) -> DecisionOutcome:
-            return run_two_stage(trial, thresholds, scenario.trust,
-                                 scenario.sensors, gamma_ts, tie_rng)
-
-        return decide
+        t_hat = classify_trust(scenario.trust, thresholds.gamma_t, thresholds.p_t,
+                               a_idx, tie_rng)
+        return decide_hypothesis(y, t_hat, scenario.sensors, gamma_ts)
     if kind == "aglrt":
-        return lambda trial: aglrt_decide(trial, scenario.trust, scenario.sensors,
-                                          scenario.prior_h0, scenario.prior_h1)
+        return np.array([
+            aglrt_decide(Trial(xi=xi, y=y_row, a=a_row, truth=scenario.truth),
+                         scenario.trust, scenario.sensors,
+                         scenario.prior_h0, scenario.prior_h1).hypothesis
+            for xi, y_row, a_row in _rows(scenario, *stream)
+        ], dtype=np.int8)
     if kind == "oracle":
-        return lambda trial: oracle_decide(trial, scenario.sensors, gamma_ts)
+        return oracle_decide(y, scenario.truth, scenario.sensors, gamma_ts)
     if kind == "oblivious":
-        return lambda trial: oblivious_decide(trial, scenario.sensors, gamma_ts)
-    if kind == "baseline":
-        window, threshold = params
-        state = ReputationState.initial(scenario.n, window, threshold)
-
-        def decide_baseline(trial: Trial) -> DecisionOutcome:
-            nonlocal state
-            outcome, state = reputation_decide(trial, state, scenario.sensors,
-                                               gamma_ts)
-            return outcome
-
-        return decide_baseline
-    raise AssertionError(f"unhandled method kind {kind!r}")
+        return oblivious_decide(y, scenario.sensors, gamma_ts)
+    window, threshold = params
+    return reputation_decide(y, scenario.sensors, gamma_ts, window, threshold)
 
 
 def run_experiment(config: ExperimentConfig, point_index: int = 0) -> ExperimentResult:
     """Run every configured method over one shared trial stream.
 
-    The stream is generated once and fed to all methods (paired
-    comparison); per-method wall time is averaged into the result. The
-    two-stage thresholds are optimized once, before the stream starts.
+    The stream is drawn once as arrays and every method decides all of it
+    (paired comparison); per-method wall time, two-stage threshold
+    optimization included, is averaged into the result.
     """
     scenario = config.scenario
     rng = substream(config.seed, _STREAM_TRIALS, point_index)
-    trials = [sample_trial(scenario, rng) for _ in range(config.trials)]
-    n_h1 = sum(t.xi for t in trials)
-    n_h0 = config.trials - n_h1
+    stream = sample_trials(scenario, rng, config.trials)
+    xi = stream[0]
+    h1 = xi == 1
+    n_h1 = int(np.count_nonzero(h1))
     stats = {}
     for name in config.methods:
-        decide = _make_decider(name, config, point_index)
-        errors = fa_count = md_count = 0
         start = time.perf_counter()
-        for trial in trials:
-            outcome = decide(trial)
-            if outcome.hypothesis != trial.xi:
-                errors += 1
-                if trial.xi == 0:
-                    fa_count += 1
-                else:
-                    md_count += 1
+        wrong = _decide(name, config, point_index, stream) != xi
         elapsed = time.perf_counter() - start
+        fa_count = int(np.count_nonzero(wrong & ~h1))
+        md_count = int(np.count_nonzero(wrong & h1))
         stats[name] = MethodStats(
-            trials=config.trials, n_h0=n_h0, n_h1=n_h1, errors=errors,
-            fa_count=fa_count, md_count=md_count,
+            trials=config.trials, n_h0=config.trials - n_h1, n_h1=n_h1,
+            errors=fa_count + md_count, fa_count=fa_count, md_count=md_count,
             mean_latency_s=elapsed / config.trials,
         )
     return ExperimentResult(
@@ -270,7 +280,7 @@ def run_experiment(config: ExperimentConfig, point_index: int = 0) -> Experiment
         seed=config.seed,
         trials=config.trials,
         stats=stats,
-        stream_digest=_stream_digest(trials),
+        stream_digest=_stream_digest(scenario, stream),
     )
 
 

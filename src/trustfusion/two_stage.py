@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .models import (
     ValidationError,
     ratio_set,
 )
-from .stats import binom_cdf, binom_pmf
+from .stats import binom_cdf, binom_pmf  # noqa: F401  -- bench/run.py counts binom_cdf here
 
 __all__ = [
     "TwoStageConfig",
@@ -141,16 +142,17 @@ def fusion_statistic(y, t_hat, sensors: LegitimateSensorModel) -> float:
     return ones * (w0 + w1) - trusted * w0
 
 
-def decide_hypothesis(y, t_hat, sensors: LegitimateSensorModel, gamma_ts: float) -> int:
-    """Standard fused decision over the robots marked trusted in ``t_hat``."""
+def decide_hypothesis(y, t_hat, sensors: LegitimateSensorModel, gamma_ts: float):
+    """Standard fused decision over the robots marked trusted in ``t_hat``.
+
+    The robots are the trailing axis: one row of reports gives one 0/1
+    decision, a ``(T, n)`` stack gives ``(T,)`` decisions, and ``t_hat`` may
+    be one row shared by every trial.
+    """
     w1, w0 = fusion_weights(sensors)
-    ones = 0
-    trusted = 0
-    for yi, ti in zip(y, t_hat):
-        if ti == 1:
-            trusted += 1
-            ones += yi
-    return 1 if accepts_h1(ones, trusted, gamma_ts, w1, w0) else 0
+    trusted = np.asarray(t_hat) == 1
+    ones = np.logical_and(y, trusted).sum(axis=-1)
+    return accepts_h1(ones, trusted.sum(axis=-1), gamma_ts, w1, w0).astype(np.int8)
 
 
 def conditional_errors(n_legit: int, n_malicious: int, gamma_ts: float,
@@ -176,10 +178,20 @@ def conditional_errors(n_legit: int, n_malicious: int, gamma_ts: float,
     accepts = accepts_h1(counts[:, None], counts[None, :], gamma_ts, w1, w0)
     o = np.where(accepts.any(axis=0), accepts.argmax(axis=0), n + 1).tolist()
     q_fa, q_md = 1.0 - sensors.p_fa_l, 1.0 - sensors.p_md_l
-    rows = [(k_l, range(k_l, k_l + n_malicious + 1)) for k_l in range(n_legit + 1)]
-    fa = np.array([[binom_cdf(t - o[t], q_fa, k_l) for t in ts] for k_l, ts in rows])
-    md = np.array([[binom_cdf(o[t] - 1, q_md, k_l) for t in ts] for k_l, ts in rows])
+    fa = np.empty((n_legit + 1, n_malicious + 1))
+    md = np.empty_like(fa)
+    for k_l in range(n_legit + 1):
+        ts = range(k_l, k_l + n_malicious + 1)
+        fa[k_l] = _lower_sums(q_fa, k_l, [t - o[t] for t in ts])
+        md[k_l] = _lower_sums(q_md, k_l, [o[t] - 1 for t in ts])
     return fa, md
+
+
+def _lower_sums(p: float, n: int, xs) -> list:
+    """``binom_cdf(x, p, n)`` for every ``x`` in ``xs``, from one running sum
+    of the pmf: the same additions in the same order, so the same floats."""
+    partial = list(accumulate(binom_pmf(i, p, n) for i in range(n)))
+    return [0.0 if x < 0 else 1.0 if x >= n else min(partial[x], 1.0) for x in xs]
 
 
 def _mixture_error(model: TrustModel, cost, gamma_t: float, p_t: float) -> float:
@@ -271,30 +283,29 @@ def optimize_thresholds(model: TrustModel, sensors: LegitimateSensorModel,
     return best
 
 
-def classify_trust(model: TrustModel, gamma_t: float, p_t: float, a, rng) -> tuple:
-    """Per-robot trust decisions from the score vector.
+def classify_trust(model: TrustModel, gamma_t: float, p_t: float, a_idx, rng):
+    """Trust decisions (0/1, ``int8``) from the scores' alphabet positions.
 
     Strictly above the threshold trusts, strictly below distrusts, and an
-    exact tie trusts with probability ``p_t`` using ``rng`` (random draws are
-    consumed only at ties).
+    exact tie trusts with probability ``p_t``. Robots are the trailing axis
+    of ``a_idx``; the ties of all of it take one draw each from ``rng`` in C
+    order (trial, then robot), and no draw is made elsewhere.
     """
-    t_hat = []
-    for a_i in a:
-        ratio = model.ratios[model.symbol_index(a_i)]
-        if ratio > gamma_t:
-            t_hat.append(1)
-        elif ratio == gamma_t:
-            t_hat.append(1 if rng.random() < p_t else 0)
-        else:
-            t_hat.append(0)
-    return tuple(t_hat)
+    ratios = np.asarray(model.ratios)
+    a_idx = np.asarray(a_idx)
+    tie = (ratios == gamma_t)[a_idx]
+    t_hat = (ratios > gamma_t)[a_idx]
+    t_hat[tie] = rng.random(np.count_nonzero(tie)) < p_t
+    return t_hat.view(np.int8)
 
 
 def run_two_stage(trial: Trial, thresholds: ThresholdChoice, model: TrustModel,
                   sensors: LegitimateSensorModel, gamma_ts: float, rng) -> DecisionOutcome:
     """Classify trust from the scores, then fuse the trusted measurements."""
-    t_hat = classify_trust(model, thresholds.gamma_t, thresholds.p_t, trial.a, rng)
-    hypothesis = decide_hypothesis(trial.y, t_hat, sensors, gamma_ts)
+    a_idx = [model.symbol_index(a_i) for a_i in trial.a]
+    t_hat = tuple(classify_trust(model, thresholds.gamma_t, thresholds.p_t, a_idx,
+                                 rng).tolist())
+    hypothesis = int(decide_hypothesis(trial.y, t_hat, sensors, gamma_ts))
     return DecisionOutcome(
         hypothesis=hypothesis,
         t_hat=t_hat,

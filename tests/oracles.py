@@ -316,7 +316,7 @@ def exact_exchangeable_error(decide, trust, sensors,
 
 def reputation_replay_errors(trials, n: int, window: int, threshold: float,
                              sensors, gamma_ts: float) -> int:
-    """Error count of the reputation rule replayed over a trial sequence.
+    """Error count of the reputation rule replayed over ``(xi, y)`` trials.
 
     Written out from the rule's documentation: every robot keeps its last
     ``window`` marks of disagreement with the decider's own past decisions;
@@ -329,11 +329,46 @@ def reputation_replay_errors(trials, n: int, window: int, threshold: float,
     w0 = math.log((1 - sensors.p_fa_l) / sensors.p_md_l)
     marks = [deque(maxlen=window) for _ in range(n)]
     errors = 0
-    for trial in trials:
+    for xi, reports in trials:
         included = [sum(m) < threshold for m in marks]
-        ones = sum(y for y, inc in zip(trial.y, included) if inc)
+        ones = sum(y for y, inc in zip(reports, included) if inc)
         decision = fused_decision(ones, sum(included), gamma_ts, w1, w0)
-        errors += decision != trial.xi
-        for m, y in zip(marks, trial.y):
+        errors += decision != xi
+        for m, y in zip(marks, reports):
             m.append(1 if y != decision else 0)
     return errors
+
+
+def per_trial_reference_sample(scenario, rng) -> tuple:
+    """One trial ``(xi, y, a)`` drawn robot by robot, as documented.
+
+    The trial takes ``3n + 1`` uniforms: the event, then every robot's raw
+    error, then every flip, then every score. A legitimate robot is wrong
+    when its raw uniform falls below its error rate under the event; a
+    malicious one when exactly one of its raw error (at the attack's raw
+    rate) and its flip happens. A score is the first symbol whose running
+    pmf sum exceeds its uniform, else the last symbol.
+    """
+    n = scenario.n
+    u_xi, u_raw, u_flip, u_score = rng.random(), rng.random(n), rng.random(n), rng.random(n)
+    xi = 1 if u_xi < scenario.prior_h1 else 0
+    sensors, attack, trust = scenario.sensors, scenario.attack, scenario.trust
+    y, a = [], []
+    for i, legit in enumerate(scenario.truth):
+        if legit:
+            wrong = u_raw[i] < (sensors.p_md_l if xi else sensors.p_fa_l)
+        else:
+            wrong = ((u_raw[i] < (attack.p_md_m_raw if xi else attack.p_fa_m_raw))
+                     != (u_flip[i] < attack.p_f))
+        y.append(xi ^ int(wrong))
+        acc = 0.0
+        symbol = trust.alphabet[-1]
+        for candidate, q in zip(trust.alphabet,
+                                trust.pmf_legit if legit else trust.pmf_malicious):
+            acc += q
+            if u_score[i] < acc:
+                symbol = candidate
+                break
+        a.append(symbol)
+    return xi, tuple(y), tuple(a)
+

@@ -5,6 +5,7 @@ criterion (criterion 7's five table point-checks and its ordering clause are
 parametrized so each prints its own line).
 """
 
+import hashlib
 import math
 import time
 from itertools import product
@@ -21,7 +22,7 @@ from oracles import (
     reputation_replay_errors,
 )
 from trustfusion.aglrt import aglrt_decide, brute_force_glrt, candidate_set
-from trustfusion.cli import build_config, main, preset_config
+from trustfusion.cli import build_config, emit_csv, emit_plot, main, preset_config
 from trustfusion.models import LegitimateSensorModel, Trial, TrustModel, ratio_set
 from trustfusion.selfcheck import (
     closed_form_vs_monte_carlo,
@@ -30,7 +31,7 @@ from trustfusion.selfcheck import (
 )
 from trustfusion.simulator import (
     run_experiment,
-    sample_trial,
+    sample_trials,
     substream,
     sweep_malicious_fraction,
 )
@@ -267,10 +268,9 @@ def replica_reference(replica_config, replica_thresholds):
     reference = {name: (rate, _four_sigma(rate, trials))
                  for name, rate in exact.items()}
     # run_experiment draws point 0's trials from substream 0 of the seed
-    rng = substream(replica_config.seed, 0)
-    stream = [sample_trial(scenario, rng) for _ in range(trials)]
+    xi, y, _ = sample_trials(scenario, substream(replica_config.seed, 0), trials)
     # baseline5 as documented: window 5, exclusion threshold 2.5
-    replayed = reputation_replay_errors(stream, scenario.n, 5, 2.5,
+    replayed = reputation_replay_errors(zip(xi.tolist(), y.tolist()), scenario.n, 5, 2.5,
                                         scenario.sensors, scenario.gamma_ts)
     reference["baseline5"] = (replayed / trials, 0.0)
     return reference
@@ -366,3 +366,32 @@ def test_criterion_9_reproduce_determinism(tmp_path, capsys):
     svg_pair = [(p / "numerical-study.svg").read_bytes() for p in outputs]
     assert csv_pair[0] == csv_pair[1]
     assert svg_pair[0] == svg_pair[1]
+
+
+# Outputs at seed 42 as the per-trial implementation wrote them. Rewrites of
+# the sampler or of a decider must reproduce them byte for byte.
+PINNED_SHA256 = {
+    "hardware-replica stream_digest":
+        "a5e6f4fb38fc025d6fbffffc680060118091f1e936c3ae65f697626cd4512cfa",
+    "hardware-replica.csv":
+        "babb8bc202e2e170fc41af2cd3871f7acff12a49fc32de8f5372e6a8c3c0fe9f",
+    "numerical-study.csv":
+        "a13aa37bb9c58598f773cd04ba875cae60cd69b9a4ee39512382457eed63fb70",
+    "numerical-study.svg":
+        "4e31d89d54841c040427e90daf00ae4f811723d7e44ec9a496b01ded792765c0",
+}
+
+
+def test_criterion_9_outputs_pinned(tmp_path, replica_result, study_results):
+    # both fixtures run their preset unchanged (seed 42), as reproduce does
+    assert replica_result.seed == 42
+    emit_csv([replica_result], tmp_path / "hardware-replica.csv")
+    study = list(study_results.values())
+    emit_csv(study, tmp_path / "numerical-study.csv")
+    emit_plot(study, tmp_path / "numerical-study.svg")
+    actual = {"hardware-replica stream_digest": replica_result.stream_digest}
+    for name in PINNED_SHA256:
+        if name.endswith((".csv", ".svg")):
+            actual[name] = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert actual == PINNED_SHA256
+

@@ -3,29 +3,25 @@
 
 import pytest
 
-from trustfusion.baselines import (
-    ReputationState,
-    oblivious_decide,
-    oracle_decide,
-    reputation_decide,
-)
+import numpy as np
+
+from trustfusion.baselines import oblivious_decide, oracle_decide, reputation_decide
 from trustfusion.models import (
     LegitimateSensorModel,
     MaliciousStrategy,
     Scenario,
-    Trial,
     TrustModel,
     ValidationError,
 )
-from trustfusion.simulator import sample_trial, substream
+from trustfusion.simulator import sample_trials, substream
 
 SENSORS = LegitimateSensorModel(0.15, 0.15)
 TRUST = TrustModel(alphabet=(0, 1), pmf_legit=(0.2, 0.8), pmf_malicious=(0.8, 0.2))
 
 
-def make_trial(xi, y, truth=None):
-    n = len(y)
-    return Trial(xi=xi, y=tuple(y), a=(1,) * n, truth=tuple(truth or (1,) * n))
+def reputation(rows, window, threshold, gamma_ts=0.0):
+    return reputation_decide(np.array(rows), SENSORS, gamma_ts, window,
+                             threshold).tolist()
 
 
 class TestOracle:
@@ -33,108 +29,92 @@ class TestOracle:
         scenario = Scenario(n=6, truth=(1,) * 6, prior_h0=0.5, prior_h1=0.5,
                             sensors=SENSORS, attack=MaliciousStrategy(0, 0, 1),
                             trust=TRUST)
-        rng = substream(3, 0)
-        for _ in range(200):
-            trial = sample_trial(scenario, rng)
-            assert (oracle_decide(trial, SENSORS, 0.0).hypothesis
-                    == oblivious_decide(trial, SENSORS, 0.0).hypothesis)
+        _, y, _ = sample_trials(scenario, substream(3, 0), 200)
+        assert np.array_equal(oracle_decide(y, scenario.truth, SENSORS, 0.0),
+                              oblivious_decide(y, SENSORS, 0.0))
 
     def test_all_malicious_negative_threshold_always_event(self):
-        trial = make_trial(0, (0, 0, 0), truth=(0, 0, 0))
-        assert oracle_decide(trial, SENSORS, -0.5).hypothesis == 1
+        assert oracle_decide([(0, 0, 0)], (0, 0, 0), SENSORS, -0.5).tolist() == [1]
 
     def test_uses_only_legitimate_reports(self):
         # malicious robots all report 1; the three legitimate zeros win
-        trial = Trial(xi=0, y=(1, 1, 0, 0, 0), a=(1,) * 5, truth=(0, 0, 1, 1, 1))
-        assert oracle_decide(trial, SENSORS, 0.0).hypothesis == 0
+        assert oracle_decide([(1, 1, 0, 0, 0)], (0, 0, 1, 1, 1), SENSORS,
+                             0.0).tolist() == [0]
 
 
 class TestOblivious:
     def test_all_positive_reports(self):
-        assert oblivious_decide(make_trial(1, (1, 1, 1)), SENSORS, 0.0).hypothesis == 1
-
-    def test_no_trust_estimate(self):
-        assert oblivious_decide(make_trial(1, (1, 0)), SENSORS, 0.0).t_hat is None
+        assert oblivious_decide([(1, 1, 1)], SENSORS, 0.0).tolist() == [1]
 
     def test_fusion_beats_single_sensor_without_adversaries(self):
         scenario = Scenario(n=9, truth=(1,) * 9, prior_h0=0.5, prior_h1=0.5,
                             sensors=SENSORS, attack=MaliciousStrategy(0, 0, 1),
                             trust=TRUST)
-        rng = substream(8, 0)
-        errors = 0
         trials = 20_000
-        for _ in range(trials):
-            trial = sample_trial(scenario, rng)
-            errors += oblivious_decide(trial, SENSORS, 0.0).hypothesis != trial.xi
+        xi, y, _ = sample_trials(scenario, substream(8, 0), trials)
+        errors = np.count_nonzero(oblivious_decide(y, SENSORS, 0.0) != xi)
         single_sensor_error = 0.15
         assert errors / trials < single_sensor_error
 
 
 class TestReputation:
+    # SENSORS are symmetric, so with gamma_ts 0 the fused rule decides 1 iff
+    # at least half of the included robots report 1 (an empty set decides 1)
+
     def test_first_decision_includes_everyone(self):
-        state = ReputationState.initial(4, window=5, threshold=2.5)
-        assert state.included() == (1, 1, 1, 1)
+        for bits in range(16):
+            row = [(bits >> i) & 1 for i in range(4)]
+            assert reputation([row], window=5, threshold=2.5) == \
+                oblivious_decide([row], SENSORS, 0.0).tolist()
 
     def test_window_one_excludes_last_disagreer(self):
-        state = ReputationState.initial(3, window=1, threshold=0.5)
-        # unanimous positive -> decision 1; robot 2 disagreed
-        out, state = reputation_decide(make_trial(1, (1, 1, 0)), state, SENSORS, 0.0)
-        assert out.hypothesis == 1
-        assert state.included() == (1, 1, 0)
-        # robot 2 agrees with the next (positive) decision and is re-admitted
-        out, state = reputation_decide(make_trial(1, (1, 1, 1)), state, SENSORS, 0.0)
-        assert out.hypothesis == 1
-        assert state.included() == (1, 1, 1)
+        # robot 2 disagrees with the first decision and is left out of the
+        # second, whose 1-of-2 tie then decides 1 (all three: 1 of 3 -> 0);
+        # robots 1 and 2 disagree with that and robot 0 decides the third
+        # alone; everyone agrees there, so all three fuse the fourth
+        rows = [(1, 1, 0), (1, 0, 0), (1, 1, 1), (1, 0, 0)]
+        assert reputation(rows, window=1, threshold=0.5) == [1, 1, 1, 0]
 
     def test_excluded_robot_keeps_accumulating(self):
-        state = ReputationState.initial(2, window=2, threshold=0.5)
-        out, state = reputation_decide(make_trial(1, (1, 0)), state, SENSORS, 0.0)
-        assert state.included() == (1, 0)
-        # the excluded robot now agrees twice; after the window the old
-        # disagreement rolls off and it returns
-        out, state = reputation_decide(make_trial(1, (1, 1)), state, SENSORS, 0.0)
-        out, state = reputation_decide(make_trial(1, (1, 1)), state, SENSORS, 0.0)
-        assert state.included() == (1, 1)
+        # robot 2 disagrees once, then agrees twice while excluded; after the
+        # window of 2 the disagreement rolls off and its 0 decides the last
+        # trial (excluded, the 1-of-2 tie of robots 0 and 1 would decide 1)
+        rows = [(1, 1, 0), (1, 1, 1), (1, 1, 1), (1, 0, 0)]
+        assert reputation(rows, window=2, threshold=0.5) == [1, 1, 1, 0]
+        # one agreement is not enough: the disagreement is still in the window
+        assert reputation(rows[:2] + rows[3:], window=2, threshold=0.5) == [1, 1, 1]
+        # disagreeing again while excluded keeps it out of the last trial
+        assert reputation([(1, 1, 0), (1, 1, 0), (1, 0, 0)], window=1,
+                          threshold=0.5) == [1, 1, 1]
 
     def test_all_agreement_keeps_exclusion_empty(self):
-        state = ReputationState.initial(3, window=5, threshold=2.5)
-        for _ in range(10):
-            out, state = reputation_decide(make_trial(1, (1, 1, 1)), state,
-                                           SENSORS, 0.0)
-            assert state.included() == (1, 1, 1)
+        # nobody was ever excluded, so the last trial is 1 of 3 -> 0
+        rows = [(1, 1, 1)] * 10 + [(1, 0, 0)]
+        assert reputation(rows, window=5, threshold=2.5) == [1] * 10 + [0]
 
     def test_threshold_semantics_integer_counts(self):
-        # threshold 2.5 over window 5: exactly three disagreements exclude
-        state = ReputationState.initial(1, window=5, threshold=2.5)
-        decisions = [(1, (0,)), (1, (0,)), (1, (0,))]
-        for xi, y in decisions:
-            # single disagreeing robot cannot outvote the tie rule: S is
-            # negative, threshold 0 -> decision 0... construct decision 1 by
-            # passing gamma_ts below the all-zero statistic instead
-            out, state = reputation_decide(Trial(xi=xi, y=y, a=(1,), truth=(1,)),
-                                           state, SENSORS, -10.0)
-            assert out.hypothesis == 1
-        assert state.included() == (0,)
+        # threshold 2.5 over window 5: robot 2 keeps disagreeing; after two
+        # disagreements it still decides the probe trial (1 of 3 -> 0), after
+        # three it is excluded (1 of 2 -> 1)
+        assert reputation([(1, 1, 0)] * 2 + [(1, 0, 0)], window=5,
+                          threshold=2.5) == [1, 1, 0]
+        assert reputation([(1, 1, 0)] * 3 + [(1, 0, 0)], window=5,
+                          threshold=2.5) == [1, 1, 1, 1]
+        # an integer threshold excludes at exactly that many marks
+        assert reputation([(1, 1, 0)] * 2 + [(1, 0, 0)], window=5,
+                          threshold=2.0) == [1, 1, 1]
 
     def test_deterministic_given_stream(self):
         scenario = Scenario(n=5, truth=(1, 1, 1, 0, 0), prior_h0=0.5, prior_h1=0.5,
                             sensors=SENSORS, attack=MaliciousStrategy(0, 0, 0.99),
                             trust=TRUST)
-        histories = []
-        for _ in range(2):
-            rng = substream(99, 0)
-            state = ReputationState.initial(5, window=5, threshold=2.5)
-            seq = []
-            for _ in range(100):
-                trial = sample_trial(scenario, rng)
-                out, state = reputation_decide(trial, state, SENSORS, 0.0)
-                seq.append((out.hypothesis, out.t_hat))
-            histories.append(seq)
-        assert histories[0] == histories[1]
+        runs = [reputation_decide(sample_trials(scenario, substream(99, 0), 100)[1],
+                                  SENSORS, 0.0, 5, 2.5) for _ in range(2)]
+        assert np.array_equal(runs[0], runs[1])
 
     def test_invalid_threshold_rejected(self):
         with pytest.raises(ValidationError):
-            ReputationState.initial(2, window=3, threshold=3.0)
+            reputation_decide(np.zeros((1, 2), dtype=np.int8), SENSORS, 0.0, 3, 3.0)
 
 
 class TestOracleIsLowerBound:

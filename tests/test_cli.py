@@ -220,6 +220,23 @@ class TestMain:
         assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("where", ["flag", "file"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, where):
+        path = write_config(tmp_path, overrides={"seed": -1 if where == "file" else 42})
+        flag = ["--seed", "-1"] if where == "flag" else []
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)] + flag) == 2
+        assert "seed" in capsys.readouterr().err
+
+    def test_stream_size_bounded_before_sampling(self, tmp_path, capsys):
+        # 11 robots: 9_090_909 trials is the most the 1e8-cell cap admits
+        path = write_config(tmp_path, overrides={"methods": ["oracle"]})
+        assert main(["run", "--config", str(path), "--out", str(tmp_path),
+                     "--trials", "9090910"]) == 2
+        assert "trials" in capsys.readouterr().err
+        raw = json.loads(path.read_text())
+        raw["trials"] = 9_090_909
+        assert build_config(raw).trials == 9_090_909
+
     def test_sweep_requires_sweep_key(self, tmp_path, capsys):
         path = write_config(tmp_path)  # replica preset has no sweep key
         assert main(["sweep", "--config", str(path)]) == 2

@@ -19,7 +19,7 @@ from oracles import (
     fused_decision,
     reputation_replay_errors,
 )
-from trustfusion.models import LegitimateSensorModel, Trial, TrustModel
+from trustfusion.models import LegitimateSensorModel, TrustModel
 
 
 def random_model(rng):
@@ -115,8 +115,7 @@ def test_reputation_replay_excludes_on_disagreement():
         (1, (1, 0, 0)),  # robots 0, 1 tie at one each: decides 1, correct
         (1, (0, 0, 1)),  # robots 0, 1 report 0: decides 0, the only error
     ]
-    trials = [Trial(xi=xi, y=y, a=(1, 1, 1), truth=(1, 1, 1)) for xi, y in stream]
-    assert reputation_replay_errors(trials, 3, 2, 1.5, sensors, 0.0) == 1
+    assert reputation_replay_errors(stream, 3, 2, 1.5, sensors, 0.0) == 1
     # a threshold above the window never excludes: the third trial is then
     # a 1-of-3 error as well
-    assert reputation_replay_errors(trials, 3, 2, 2.5, sensors, 0.0) == 2
+    assert reputation_replay_errors(stream, 3, 2, 2.5, sensors, 0.0) == 2

@@ -1,10 +1,12 @@
 """Trial generation statistics, stream pairing, reproducibility, sweeps."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from oracles import per_trial_reference_sample
 from trustfusion.models import (
     LegitimateSensorModel,
     MaliciousStrategy,
@@ -14,11 +16,13 @@ from trustfusion.models import (
     effective_malicious_probs,
 )
 from trustfusion.simulator import (
+    _BLOCK,
     ExperimentConfig,
     parse_method,
     place_malicious,
     run_experiment,
     sample_trial,
+    sample_trials,
     substream,
     sweep_malicious_fraction,
 )
@@ -59,15 +63,9 @@ class TestSampleTrial:
         # raw rates equal to the legitimate ones and no flipping: measurement
         # marginals must coincide within binomial noise
         scenario = make_scenario((1, 0), p_f=0.0, raw=0.15)
-        rng = substream(2, 0)
-        draws = 100_000
-        ones = np.zeros(2)
-        h1 = 0
-        for _ in range(draws):
-            trial = sample_trial(scenario, rng)
-            if trial.xi == 1:
-                h1 += 1
-                ones += trial.y
+        xi, y, _ = sample_trials(scenario, substream(2, 0), 100_000)
+        h1 = np.count_nonzero(xi)
+        ones = y[xi == 1].sum(axis=0)
         for robot in range(2):
             rate = ones[robot] / h1
             sigma = math.sqrt(0.85 * 0.15 / h1)
@@ -76,13 +74,9 @@ class TestSampleTrial:
     def test_malicious_marginal_matches_effective_probs(self):
         scenario = make_scenario((1, 0), p_f=0.8, raw=0.1)
         p_fa_m, p_md_m = effective_malicious_probs(scenario.attack)
-        rng = substream(3, 0)
-        draws = 100_000
-        count = {0: [0, 0], 1: [0, 0]}  # xi -> [n_trials, ones of robot 1]
-        for _ in range(draws):
-            trial = sample_trial(scenario, rng)
-            count[trial.xi][0] += 1
-            count[trial.xi][1] += trial.y[1]
+        xi, y, _ = sample_trials(scenario, substream(3, 0), 100_000)
+        # xi -> [n_trials, ones of robot 1]
+        count = {h: [np.count_nonzero(xi == h), y[xi == h, 1].sum()] for h in (0, 1)}
         rate_fa = count[0][1] / count[0][0]
         sigma = math.sqrt(p_fa_m * (1 - p_fa_m) / count[0][0])
         assert abs(rate_fa - p_fa_m) <= 3 * sigma
@@ -92,27 +86,80 @@ class TestSampleTrial:
 
     def test_score_marginals_match_pmf(self):
         scenario = make_scenario((1, 0))
-        rng = substream(4, 0)
         draws = 100_000
-        ones = np.zeros(2)
-        for _ in range(draws):
-            trial = sample_trial(scenario, rng)
-            ones += trial.a
+        _, _, a_idx = sample_trials(scenario, substream(4, 0), draws)
+        ones = np.asarray(TRUST.alphabet)[a_idx].sum(axis=0)
         for robot, expected in ((0, 0.8), (1, 0.2)):
             sigma = math.sqrt(expected * (1 - expected) / draws)
             assert abs(ones[robot] / draws - expected) <= 3 * sigma
 
     def test_scores_independent_of_measurements(self):
         scenario = make_scenario((1, 1))
-        rng = substream(5, 0)
         draws = 100_000
-        ys, scores = [], []
-        for _ in range(draws):
-            trial = sample_trial(scenario, rng)
-            ys.append(trial.y[0])
-            scores.append(trial.a[0])
-        corr = np.corrcoef(ys, scores)[0, 1]
+        _, y, a_idx = sample_trials(scenario, substream(5, 0), draws)
+        corr = np.corrcoef(y[:, 0], np.asarray(TRUST.alphabet)[a_idx[:, 0]])[0, 1]
         assert abs(corr) <= 3 / math.sqrt(draws)
+
+
+class _NearOne:
+    """Generator stand-in whose uniforms all lie in the top 1e-9 of [0, 1]."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+
+    def random(self, size=None):
+        return 1.0 - self._rng.random(size) * 1e-9
+
+
+class TestSampleTrials:
+    # scores from a three-symbol string alphabet, a float alphabet and, at
+    # near-one uniforms, a pmf whose running sum ends below 1 (last symbol)
+    CASES = {
+        "strings": (TrustModel(alphabet=("lo", "mid", "hi"), pmf_legit=(0.2, 0.3, 0.5),
+                               pmf_malicious=(0.6, 0.3, 0.1)), (1, 0, 1, 1, 0), False),
+        "floats-n1": (TrustModel(alphabet=(0.5, 2.0), pmf_legit=(0.3, 0.7),
+                                 pmf_malicious=(0.7, 0.3)), (0,), False),
+        "short-pmf": (TrustModel(alphabet=("a", "b", "c"),
+                                 pmf_legit=(0.5, 0.3, 0.2 - 5e-10),
+                                 pmf_malicious=(0.2, 0.3, 0.5 - 5e-10)), (1, 0, 0), True),
+    }
+
+    def _scenario(self, name):
+        trust, truth, _ = self.CASES[name]
+        return replace(make_scenario(truth, p_f=0.7, raw=0.2, prior_h1=0.4), trust=trust)
+
+    def _rng(self, name, seed):
+        near_one = self.CASES[name][2]
+        return _NearOne(seed) if near_one else substream(seed, 0)
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_rows_equal_stacked_single_draws(self, name):
+        # more trials than one generator block holds, and not a multiple
+        scenario = self._scenario(name)
+        count = 2 * _BLOCK + 37
+        xi, y, a_idx = sample_trials(scenario, self._rng(name, 9), count)
+        assert xi.dtype == y.dtype == np.int8 and y.shape == a_idx.shape == (count,
+                                                                            scenario.n)
+        twin = self._rng(name, 9)
+        stacked = [sample_trial(scenario, twin) for _ in range(count)]
+        symbols = scenario.trust.alphabet
+        assert xi.tolist() == [t.xi for t in stacked]
+        assert [tuple(r) for r in y.tolist()] == [t.y for t in stacked]
+        assert [tuple(symbols[j] for j in r) for r in a_idx.tolist()] == \
+            [t.a for t in stacked]
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_draws_follow_the_per_robot_reference(self, name):
+        scenario = self._scenario(name)
+        rng, ref_rng = self._rng(name, 3), self._rng(name, 3)
+        xi, y, a_idx = sample_trials(scenario, rng, 300)
+        expected = [per_trial_reference_sample(scenario, ref_rng) for _ in range(300)]
+        symbols = scenario.trust.alphabet
+        rows = [(x, tuple(y_r), tuple(symbols[j] for j in a_r))
+                for x, y_r, a_r in zip(xi.tolist(), y.tolist(), a_idx.tolist())]
+        assert rows == expected
+        # the two generators stay aligned
+        assert rng.random() == ref_rng.random()
 
 
 class TestRunExperiment:

@@ -21,9 +21,11 @@ from trustfusion.models import (
     ValidationError,
 )
 from trustfusion.simulator import sample_trial, substream
+from trustfusion.stats import binom_cdf
 from trustfusion.two_stage import (
     ThresholdChoice,
     TwoStageConfig,
+    accepts_h1,
     classify_trust,
     conditional_errors,
     decide_hypothesis,
@@ -152,6 +154,38 @@ class TestConditionalErrors:
         assert float(exact) == pytest.approx(7.2693e-38, rel=1e-4)
         assert fa[100, 0] == pytest.approx(float(exact), rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("n_legit,n_malicious,gamma_ts,p_fa,p_md", [
+        (7, 5, 0.0, 0.15, 0.15),
+        (12, 3, 0.7, 0.08, 0.21),
+        (4, 9, -2.5, 0.3, 0.1),
+        (30, 20, 4.0, 0.05, 0.4),
+        (1, 6, 0.0, 0.2, 0.2),
+        (6, 2, 1.0, 0.1, 0.3),
+    ])
+    def test_tables_equal_per_cell_binom_cdf(self, n_legit, n_malicious, gamma_ts,
+                                             p_fa, p_md):
+        # the running-sum tables must be the per-cell lower sums bit for bit,
+        # also where the count leaves 0..k_l - 1 and binom_cdf's own rules apply
+        sensors = LegitimateSensorModel(p_fa, p_md)
+        fa, md = conditional_errors(n_legit, n_malicious, gamma_ts, sensors)
+        w1, w0 = fusion_weights(sensors)
+        n = n_legit + n_malicious
+        expected_fa = np.empty_like(fa)
+        expected_md = np.empty_like(md)
+        counts = []
+        for k_l in range(n_legit + 1):
+            for k_m in range(n_malicious + 1):
+                t = k_l + k_m
+                o = next((c for c in range(n + 1)
+                          if accepts_h1(c, t, gamma_ts, w1, w0)), n + 1)
+                expected_fa[k_l, k_m] = binom_cdf(t - o, 1 - p_fa, k_l)
+                expected_md[k_l, k_m] = binom_cdf(o - 1, 1 - p_md, k_l)
+                counts += [(t - o, k_l), (o - 1, k_l)]
+        assert np.array_equal(fa, expected_fa)
+        assert np.array_equal(md, expected_md)
+        assert any(x < 0 for x, _ in counts)
+        assert any(x >= k_l > 0 for x, k_l in counts)
+
 
 class TestDecideHypothesis:
     def test_two_of_three_positive(self):
@@ -165,17 +199,36 @@ class TestDecideHypothesis:
 
 
 class TestClassifyTrust:
+    # BINARY_TRUST's symbols are their own alphabet positions
     def test_above_threshold(self):
         rng = np.random.default_rng(0)
-        assert classify_trust(BINARY_TRUST, 1.0, 0.0, (1,), rng) == (1,)
+        assert classify_trust(BINARY_TRUST, 1.0, 0.0, (1,), rng).tolist() == [1]
 
     def test_below_threshold(self):
         rng = np.random.default_rng(0)
-        assert classify_trust(BINARY_TRUST, 1.0, 0.0, (0,), rng) == (0,)
+        assert classify_trust(BINARY_TRUST, 1.0, 0.0, (0,), rng).tolist() == [0]
 
     def test_tie_with_certain_acceptance(self):
         rng = np.random.default_rng(0)
-        assert classify_trust(BINARY_TRUST, 4.0, 1.0, (1,), rng) == (1,)
+        assert classify_trust(BINARY_TRUST, 4.0, 1.0, (1,), rng).tolist() == [1]
+
+    def test_batched_ties_equal_per_row_calls(self):
+        # one draw per tie in trial-then-robot order, however the rows are
+        # grouped; the fused decisions agree row by row as well
+        trust = TrustModel(alphabet=("lo", "mid", "hi"), pmf_legit=(0.2, 0.3, 0.5),
+                           pmf_malicious=(0.5, 0.3, 0.2))
+        rng = np.random.default_rng(21)
+        a_idx = rng.integers(0, 3, size=(300, 7))
+        y = rng.integers(0, 2, size=(300, 7))
+        batched = classify_trust(trust, 1.0, 0.37, a_idx, substream(4, 1))
+        tie_rng = substream(4, 1)
+        rows = [classify_trust(trust, 1.0, 0.37, row, tie_rng) for row in a_idx]
+        assert np.array_equal(batched, np.stack(rows))
+        assert 0 < batched[a_idx == 1].mean() < 1
+        assert np.array_equal(
+            decide_hypothesis(y, batched, SYMMETRIC_SENSORS, 0.2),
+            [decide_hypothesis(y_t, t_t, SYMMETRIC_SENSORS, 0.2)
+             for y_t, t_t in zip(y, rows)])
 
     def test_marginal_rates_match_formula(self):
         # 1e5 draws per symbol, trust rate within 3 binomial sigmas
@@ -186,9 +239,9 @@ class TestClassifyTrust:
         symbol_rng = np.random.default_rng(99)
         for pmf, expected in ((BINARY_TRUST.pmf_legit, expected_l),
                               (BINARY_TRUST.pmf_malicious, expected_m)):
-            a = symbol_rng.choice(BINARY_TRUST.alphabet, size=draws, p=pmf)
-            t_hat = classify_trust(BINARY_TRUST, gamma_t, p_t, tuple(a), rng)
-            rate = sum(t_hat) / draws
+            a_idx = symbol_rng.choice(len(BINARY_TRUST.alphabet), size=draws, p=pmf)
+            t_hat = classify_trust(BINARY_TRUST, gamma_t, p_t, a_idx, rng)
+            rate = t_hat.sum() / draws
             sigma = math.sqrt(expected * (1 - expected) / draws)
             assert abs(rate - expected) <= 3 * sigma + 1e-9
 
@@ -494,8 +547,8 @@ class TestRunTwoStage:
             trial = sample_trial(scenario, trial_rng)
             ours = run_two_stage(trial, thresholds, scenario.trust,
                                  scenario.sensors, 0.0, tie_rng)
-            reference = oblivious_decide(trial, scenario.sensors, 0.0)
-            assert ours.hypothesis == reference.hypothesis
+            reference = oblivious_decide([trial.y], scenario.sensors, 0.0)
+            assert [ours.hypothesis] == reference.tolist()
             assert ours.t_hat == (1,) * scenario.n
 
     def test_near_perfect_scores_recover_oracle_decisions(self):
@@ -520,8 +573,8 @@ class TestRunTwoStage:
                                  0.0, tie_rng)
             if ours.t_hat == trial.truth:
                 exact += 1
-                reference = oracle_decide(trial, scenario.sensors, 0.0)
-                assert ours.hypothesis == reference.hypothesis
+                reference = oracle_decide([trial.y], trial.truth, scenario.sensors, 0.0)
+                assert [ours.hypothesis] == reference.tolist()
         assert exact >= 0.98 * trials
 
     def test_outcome_carries_diagnostics(self):
