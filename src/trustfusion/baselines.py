@@ -12,10 +12,12 @@ returns the ``(T,)`` hypotheses.
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
-from .models import LegitimateSensorModel, ValidationError
-from .two_stage import decide_hypothesis
+from .models import _BLOCK, LegitimateSensorModel, ValidationError
+from .two_stage import accepts_h1, decide_hypothesis, fusion_weights
 
 __all__ = [
     "oracle_decide",
@@ -45,6 +47,11 @@ def reputation_decide(y, sensors: LegitimateSensorModel, gamma_ts: float,
     decision and re-admitted once its count drops back below the threshold.
     After each decision every robot, excluded or not, is marked by whether
     its report disagreed with it.
+
+    The fused rule is one ``(n+1)^2`` table of :func:`accepts_h1` over
+    (ones, trusted) counts, and each robot's mark count is a running total
+    over the mark rows of the last ``min(window, t)`` trials; the reports
+    are read one ``_BLOCK`` slice at a time.
     """
     if window < 1:
         raise ValidationError(f"history window {window!r} must be >= 1")
@@ -53,11 +60,30 @@ def reputation_decide(y, sensors: LegitimateSensorModel, gamma_ts: float,
             f"exclusion threshold {threshold!r} must be below the window size {window!r}"
         )
     y = np.asarray(y)
-    # row t % window holds the marks of trial t until trial t + window
-    marks = np.zeros((window, y.shape[1]), dtype=np.int8)
-    hypotheses = np.empty(len(y), dtype=np.int8)
-    for t, y_t in enumerate(y):
-        hypotheses[t] = decide_hypothesis(y_t, marks.sum(axis=0) < threshold, sensors,
-                                          gamma_ts)
-        marks[t % window] = y_t != hypotheses[t]
+    trials, n = y.shape
+    w1, w0 = fusion_weights(sensors)
+    k = np.arange(n + 1)
+    # accepts[ones][trusted]
+    accepts = accepts_h1(k[:, None], k[None, :], gamma_ts, w1, w0).astype(int).tolist()
+    history = deque()
+    marked = [0] * n
+    hypotheses = np.empty(trials, dtype=np.int8)
+    for start in range(0, trials, _BLOCK):
+        block = []
+        for row in y[start:start + _BLOCK].tolist():
+            ones = trusted = 0
+            for count, report in zip(marked, row):
+                if count < threshold:
+                    trusted += 1
+                    ones += report
+            decision = accepts[ones][trusted]
+            marks = bytes([report != decision for report in row])
+            history.append(marks)
+            if len(history) > window:
+                expired = history.popleft()
+                marked = [c + m - e for c, m, e in zip(marked, marks, expired)]
+            else:
+                marked = [c + m for c, m in zip(marked, marks)]
+            block.append(decision)
+        hypotheses[start:start + len(block)] = block
     return hypotheses

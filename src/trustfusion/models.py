@@ -28,6 +28,10 @@ __all__ = [
 _PMF_SUM_TOL = 1e-9
 _PRIOR_SUM_TOL = 1e-12
 
+# Rows handled at once wherever a ``(T, n)`` trial stream is drawn or walked,
+# so a pass holds one block's intermediates whatever T is.
+_BLOCK = 1024
+
 
 class ValidationError(ValueError):
     """A value object violates one of its declared invariants."""

@@ -19,7 +19,7 @@ import numpy as np
 
 from .aglrt import aglrt_decide
 from .baselines import oblivious_decide, oracle_decide, reputation_decide
-from .models import Scenario, Trial, ValidationError
+from .models import _BLOCK, Scenario, Trial, ValidationError, log_prior_ratio
 from .two_stage import (
     TwoStageConfig,
     classify_trust,
@@ -48,12 +48,11 @@ _STREAM_TRIALS = 0
 _STREAM_TIES = 1
 _STREAM_PLACEMENT = 2
 
-# Trials drawn per generator call: bounds the uniforms held at once to
-# _BLOCK * (3n + 1) doubles whatever the trial count.
-_BLOCK = 1024
-
 _BASELINE_ALIASES = {"baseline1": (1, 0.5), "baseline5": (5, 2.5)}
 _BASELINE_PATTERN = re.compile(r"^baseline\((\d+),([0-9.]+)\)$")
+# Longest reputation history window accepted: no run the CLI admits is longer
+# (it caps trials * n at 10**8), so a longer window would never drop a mark.
+_MAX_WINDOW = 10**8
 
 KNOWN_METHODS = ("2sa", "aglrt", "oracle", "oblivious", "baseline1", "baseline5")
 
@@ -62,18 +61,31 @@ def parse_method(name: str) -> tuple:
     """Resolve a method name to ``(kind, params)``.
 
     Accepts the fixed names plus ``baseline(T,eta)`` for arbitrary
-    reputation parameters.
+    reputation parameters, with ``1 <= T <= 10**8`` and ``eta < T``.
     """
     if name in ("2sa", "aglrt", "oracle", "oblivious"):
         return name, None
     if name in _BASELINE_ALIASES:
         return "baseline", _BASELINE_ALIASES[name]
     match = _BASELINE_PATTERN.match(name)
-    if match:
-        return "baseline", (int(match.group(1)), float(match.group(2)))
-    raise ValidationError(
-        f"unknown method {name!r}; expected one of {KNOWN_METHODS} or 'baseline(T,eta)'"
-    )
+    if not match:
+        raise ValidationError(
+            f"unknown method {name!r}; expected one of {KNOWN_METHODS} or 'baseline(T,eta)'"
+        )
+    window = int(match.group(1))
+    try:
+        threshold = float(match.group(2))
+    except ValueError:
+        raise ValidationError(
+            f"method {name!r}: eta {match.group(2)!r} is not a number"
+        ) from None
+    if not 1 <= window <= _MAX_WINDOW:
+        raise ValidationError(
+            f"method {name!r}: history window T must lie in 1..{_MAX_WINDOW}"
+        )
+    if not threshold < window:
+        raise ValidationError(f"method {name!r}: eta must be below the window T")
+    return "baseline", (window, threshold)
 
 
 @dataclass(frozen=True)
@@ -107,8 +119,11 @@ class ExperimentConfig:
 class MethodStats:
     """Aggregated per-method counts and rates for one experiment.
 
-    Wall-clock latency is informational and excluded from equality: two runs
-    with the same seed produce identical counts but not identical timings.
+    ``mean_latency_s`` is the method's wall time over the whole point (one
+    batch call; for ``2sa`` it includes the threshold optimization) divided
+    by the trial count. It is informational and excluded from equality: two
+    runs with the same seed produce identical counts but not identical
+    timings.
     """
 
     trials: int
@@ -163,8 +178,9 @@ def sample_trials(scenario: Scenario, rng: np.random.Generator, count: int) -> t
     Each trial consumes ``3n + 1`` uniforms in a fixed order (event, raw
     errors, flips, scores), whatever the truth vector contains, so the
     stream stays aligned and ``count`` trials drawn at once equal ``count``
-    draws of one. A score is the first symbol whose running pmf sum exceeds
-    its uniform, and the last symbol if none does.
+    draws of one; at most ``_BLOCK`` trials' uniforms are held at once. A
+    score is the first symbol whose running pmf sum exceeds its uniform, and
+    the last symbol if none does.
     """
     n = scenario.n
     sensors, attack, trust = scenario.sensors, scenario.attack, scenario.trust
@@ -216,6 +232,59 @@ def _stream_digest(scenario: Scenario, stream: tuple) -> str:
     return h.hexdigest()
 
 
+def _aglrt_by_count_class(scenario: Scenario, stream: tuple):
+    """aglrt's hypotheses, decided once per (score, report) count class.
+
+    The A-GLRT statistic sees a trial only through how many robots share
+    each (score, report) pair, up to the rounding of summing the robots in
+    row order; every summed term is a log-probability <= 0, so reordering a
+    row moves each branch value by about n ulps of it at most. So the first
+    row with each distinct count vector is decided by :func:`aglrt_decide`
+    and its hypothesis is copied to every other row with that vector. A
+    class whose ``log_ratio`` lies within ``1e-9 * (1 + |log_num| +
+    |log_den|)`` of the prior threshold is tied, and rounding decides it
+    differently in different orders: each of its rows is decided on its
+    own, so the hypotheses are bit for bit the row-by-row ones.
+    """
+    xi, y, a_idx = stream
+    trust = scenario.trust
+    symbols = trust.alphabet
+    width = 2 * len(symbols)
+    threshold = log_prior_ratio(scenario.prior_h0, scenario.prior_h1)
+
+    def decide_row(t: int):
+        trial = Trial(xi=int(xi[t]), y=tuple(y[t].tolist()),
+                      a=tuple([symbols[j] for j in a_idx[t].tolist()]),
+                      truth=scenario.truth)
+        return aglrt_decide(trial, trust, scenario.sensors,
+                            scenario.prior_h0, scenario.prior_h1)
+
+    def class_hypothesis(t: int) -> int:
+        outcome = decide_row(t)
+        d = outcome.diagnostics
+        band = 1e-9 * (1.0 + abs(d["log_num"]) + abs(d["log_den"]))
+        return -1 if abs(d["log_ratio"] - threshold) <= band else outcome.hypothesis
+
+    classes = {}  # count vector bytes -> hypothesis, or -1 for a tie
+    hypotheses = np.empty(len(xi), dtype=np.int8)
+    for start in range(0, len(xi), _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        codes = 2 * a_idx[rows].astype(np.intp) + y[rows]
+        codes += width * np.arange(len(codes))[:, None]
+        counts = np.bincount(codes.ravel(), minlength=width * len(codes))
+        vectors, first, inverse = np.unique(counts.reshape(-1, width), axis=0,
+                                            return_index=True, return_inverse=True)
+        keys = [vector.tobytes() for vector in vectors]
+        for key, row in zip(keys, first.tolist()):
+            if key not in classes:
+                classes[key] = class_hypothesis(start + row)
+        decided = np.array([classes[key] for key in keys], dtype=np.int8)
+        hypotheses[rows] = decided[inverse.reshape(-1)]
+        for row in np.flatnonzero(hypotheses[rows] < 0).tolist():
+            hypotheses[start + row] = decide_row(start + row).hypothesis
+    return hypotheses
+
+
 def _decide(name: str, config: ExperimentConfig, point_index: int, stream: tuple):
     """One method's hypotheses over a point's whole ``(xi, y, a_idx)`` stream.
 
@@ -236,12 +305,7 @@ def _decide(name: str, config: ExperimentConfig, point_index: int, stream: tuple
                                a_idx, tie_rng)
         return decide_hypothesis(y, t_hat, scenario.sensors, gamma_ts)
     if kind == "aglrt":
-        return np.array([
-            aglrt_decide(Trial(xi=xi, y=y_row, a=a_row, truth=scenario.truth),
-                         scenario.trust, scenario.sensors,
-                         scenario.prior_h0, scenario.prior_h1).hypothesis
-            for xi, y_row, a_row in _rows(scenario, *stream)
-        ], dtype=np.int8)
+        return _aglrt_by_count_class(scenario, stream)
     if kind == "oracle":
         return oracle_decide(y, scenario.truth, scenario.sensors, gamma_ts)
     if kind == "oblivious":
@@ -288,9 +352,11 @@ def place_malicious(scenario: Scenario, count: int, seed: int,
                     index: int = 0) -> Scenario:
     """Scenario with ``count`` malicious robots at seeded-shuffled indices.
 
-    Decision rules are exchangeable across robot indices, so shuffling the
-    placement guards against accidental position dependence without
-    affecting statistics.
+    The decision rules are exchangeable across robot indices, so shuffling
+    the placement guards against accidental position dependence without
+    affecting statistics. ``aglrt`` is exchangeable only outside its tie
+    band: a trial whose log-likelihood ratio is within rounding of the
+    prior threshold can be decided either way depending on robot order.
     """
     if not 0 <= count <= scenario.n:
         raise ValidationError(f"malicious count {count!r} outside 0..{scenario.n}")

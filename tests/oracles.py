@@ -12,8 +12,11 @@ import math
 from collections import deque
 from itertools import product
 
-from trustfusion.aglrt import candidate_set, inner_max
-from trustfusion.models import DecisionOutcome
+import numpy as np
+
+from trustfusion.aglrt import aglrt_decide, candidate_set, inner_max
+from trustfusion.models import DecisionOutcome, Trial
+from trustfusion.two_stage import decide_hypothesis
 
 
 def fused_decision(ones: int, trusted: int, gamma_ts: float,
@@ -337,6 +340,36 @@ def reputation_replay_errors(trials, n: int, window: int, threshold: float,
         for m, y in zip(marks, reports):
             m.append(1 if y != decision else 0)
     return errors
+
+
+def per_trial_reputation_decide(y, sensors, gamma_ts: float, window: int,
+                                threshold: float):
+    """The reputation rule as one fused-rule call per trial.
+
+    A ``window``-row ring of 0/1 marks, summed over the rows before every
+    decision; row ``t % window`` holds the marks of trial ``t``.
+    """
+    y = np.asarray(y)
+    marks = np.zeros((window, y.shape[1]), dtype=np.int8)
+    hypotheses = np.empty(len(y), dtype=np.int8)
+    for t, y_t in enumerate(y):
+        hypotheses[t] = decide_hypothesis(y_t, marks.sum(axis=0) < threshold, sensors,
+                                          gamma_ts)
+        marks[t % window] = y_t != hypotheses[t]
+    return hypotheses
+
+
+def per_row_aglrt_hypotheses(scenario, stream):
+    """aglrt's hypotheses with one :func:`aglrt_decide` call per row."""
+    xi, y, a_idx = stream
+    symbols = scenario.trust.alphabet
+    return np.array([
+        aglrt_decide(Trial(xi=x, y=tuple(y_row), a=tuple(symbols[j] for j in a_row),
+                           truth=scenario.truth),
+                     scenario.trust, scenario.sensors, scenario.prior_h0,
+                     scenario.prior_h1).hypothesis
+        for x, y_row, a_row in zip(xi.tolist(), y.tolist(), a_idx.tolist())
+    ], dtype=np.int8)
 
 
 def per_trial_reference_sample(scenario, rng) -> tuple:

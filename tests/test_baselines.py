@@ -5,8 +5,10 @@ import pytest
 
 import numpy as np
 
+from oracles import per_trial_reputation_decide
 from trustfusion.baselines import oblivious_decide, oracle_decide, reputation_decide
 from trustfusion.models import (
+    _BLOCK,
     LegitimateSensorModel,
     MaliciousStrategy,
     Scenario,
@@ -111,6 +113,32 @@ class TestReputation:
         runs = [reputation_decide(sample_trials(scenario, substream(99, 0), 100)[1],
                                   SENSORS, 0.0, 5, 2.5) for _ in range(2)]
         assert np.array_equal(runs[0], runs[1])
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_per_trial_rule(self, seed):
+        # random streams and sensors; windows 1-6 with integer and fractional
+        # thresholds, a single robot, and a window longer than the stream
+        rng = np.random.default_rng(seed)
+        n = 1 if seed == 0 else int(rng.integers(2, 14))
+        trials = int(rng.integers(1, 400))
+        y = (rng.random((trials, n)) < rng.uniform(0.2, 0.8, n)).astype(np.int8)
+        sensors = LegitimateSensorModel(float(rng.uniform(0.05, 0.45)),
+                                        float(rng.uniform(0.05, 0.45)))
+        gamma_ts = float(rng.normal(0.0, 1.0))
+        for window in (1, 2, 3, 4, 5, 6, trials + 3):
+            for threshold in {0.0, 0.5, float(window // 2), window - 0.5}:
+                assert np.array_equal(
+                    reputation_decide(y, sensors, gamma_ts, window, threshold),
+                    per_trial_reputation_decide(y, sensors, gamma_ts, window, threshold),
+                ), (window, threshold)
+
+    def test_long_stream_crosses_slices(self):
+        rng = np.random.default_rng(11)
+        y = (rng.random((2 * _BLOCK + 37, 7)) < 0.5).astype(np.int8)
+        for window, threshold in ((1, 0.5), (5, 2.5), (4, 2.0)):
+            assert np.array_equal(reputation_decide(y, SENSORS, 0.0, window, threshold),
+                                  per_trial_reputation_decide(y, SENSORS, 0.0, window,
+                                                              threshold))
 
     def test_invalid_threshold_rejected(self):
         with pytest.raises(ValidationError):

@@ -237,6 +237,20 @@ class TestMain:
         raw["trials"] = 9_090_909
         assert build_config(raw).trials == 9_090_909
 
+    @pytest.mark.parametrize("method", [
+        "baseline(3,1.5.5)", "baseline(3,.)", "baseline(99999999999,1)",
+        "baseline(0,0.5)", "baseline(3,3)",
+    ])
+    def test_malformed_baseline_exits_2_before_sampling(self, tmp_path, capsys,
+                                                        monkeypatch, method):
+        def no_sampling(*args):
+            raise AssertionError("trials drawn for an invalid method")
+
+        monkeypatch.setattr("trustfusion.simulator.sample_trials", no_sampling)
+        path = write_config(tmp_path, overrides={"methods": ["2sa", method]})
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert method in capsys.readouterr().err
+
     def test_sweep_requires_sweep_key(self, tmp_path, capsys):
         path = write_config(tmp_path)  # replica preset has no sweep key
         assert main(["sweep", "--config", str(path)]) == 2

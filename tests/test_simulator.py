@@ -6,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import per_trial_reference_sample
+import trustfusion.simulator as simulator
+from oracles import per_row_aglrt_hypotheses, per_trial_reference_sample
 from trustfusion.models import (
     LegitimateSensorModel,
     MaliciousStrategy,
@@ -18,6 +19,7 @@ from trustfusion.models import (
 from trustfusion.simulator import (
     _BLOCK,
     ExperimentConfig,
+    _decide,
     parse_method,
     place_malicious,
     run_experiment,
@@ -160,6 +162,58 @@ class TestSampleTrials:
         assert rows == expected
         # the two generators stay aligned
         assert rng.random() == ref_rng.random()
+
+
+class TestAglrtCountClasses:
+    """The class path of ``_decide("aglrt", ...)`` equals one call per row."""
+
+    def _check(self, scenario, count, seed, monkeypatch):
+        stream = sample_trials(scenario, substream(seed, 0), count)
+        calls = []
+        decide = simulator.aglrt_decide
+        monkeypatch.setattr(simulator, "aglrt_decide",
+                            lambda *args: calls.append(1) or decide(*args))
+        hypotheses = _decide("aglrt", make_config(scenario, ("aglrt",), trials=count),
+                             0, stream)
+        assert hypotheses.dtype == np.int8
+        assert np.array_equal(hypotheses, per_row_aglrt_hypotheses(scenario, stream))
+        _, y, a_idx = stream
+        codes = 2 * a_idx.astype(np.intp) + y
+        counts = [np.count_nonzero(codes == c, axis=1)
+                  for c in range(2 * len(scenario.trust.alphabet))]
+        classes = len(np.unique(np.stack(counts, axis=1), axis=0))
+        # one call per class plus one per row of a tied class
+        return classes, len(calls)
+
+    def test_ties_fall_back_to_rows(self, monkeypatch):
+        # symmetric sensors, mirrored binary trust and even priors: many count
+        # vectors sit exactly on the threshold, and classes span three slices
+        scenario = make_scenario((1, 0, 1, 1, 0, 1, 0, 1, 1, 0), p_f=0.5, raw=0.15)
+        classes, calls = self._check(scenario, 2 * _BLOCK + 37, 5, monkeypatch)
+        assert calls > classes
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_alphabets(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(2, 5))
+        alphabet = (tuple("abcd"[:size]) if seed % 2
+                    else tuple(float(v) for v in rng.permutation(10)[:size]))
+        trust = TrustModel(alphabet=alphabet,
+                           pmf_legit=tuple(rng.dirichlet(np.ones(size))),
+                           pmf_malicious=tuple(rng.dirichlet(np.ones(size))))
+        n = int(rng.integers(1, 9)) if seed else 1
+        truth = tuple(int(v) for v in rng.integers(0, 2, n))
+        scenario = replace(make_scenario(truth, p_f=float(rng.uniform(0.5, 1.0)),
+                                         raw=float(rng.uniform(0.0, 0.3)),
+                                         prior_h1=float(rng.uniform(0.2, 0.8))),
+                           trust=trust)
+        classes, calls = self._check(scenario, 2 * _BLOCK + 37, seed, monkeypatch)
+        assert classes <= calls
+
+    def test_single_robot(self, monkeypatch):
+        scenario = make_scenario((0,), prior_h1=0.3)
+        classes, calls = self._check(scenario, 500, 2, monkeypatch)
+        assert classes == calls == 4
 
 
 class TestRunExperiment:
