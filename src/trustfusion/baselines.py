@@ -12,6 +12,7 @@ returns the ``(T,)`` hypotheses.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 import numpy as np
@@ -49,9 +50,15 @@ def reputation_decide(y, sensors: LegitimateSensorModel, gamma_ts: float,
     its report disagreed with it.
 
     The fused rule is one ``(n+1)^2`` table of :func:`accepts_h1` over
-    (ones, trusted) counts, and each robot's mark count is a running total
-    over the mark rows of the last ``min(window, t)`` trials; the reports
-    are read one ``_BLOCK`` slice at a time.
+    (ones, trusted) counts. Report and mark rows are bitmasks with bit ``i``
+    for robot ``i``, and the mark counts live in bit planes: plane ``j`` is
+    the mask of robots whose count plus a common bias has bit ``j`` set. A
+    trial's marks go in with a ripple carry and the marks leaving the window
+    come out with a ripple borrow. A count never exceeds ``min(window, T)``,
+    so ``b = min(window, T).bit_length()`` planes hold it, and with the bias
+    ``2^b - ceil(threshold)`` the robots at or over the threshold are
+    exactly the mask of one more, top plane. The reports are read one
+    ``_BLOCK`` slice at a time.
     """
     if window < 1:
         raise ValidationError(f"history window {window!r} must be >= 1")
@@ -65,25 +72,40 @@ def reputation_decide(y, sensors: LegitimateSensorModel, gamma_ts: float,
     k = np.arange(n + 1)
     # accepts[ones][trusted]
     accepts = accepts_h1(k[:, None], k[None, :], gamma_ts, w1, w0).astype(int).tolist()
+    everyone = (1 << n) - 1
+    # Counts are whole, so count >= threshold iff count >= limit. A count
+    # never exceeds top, and when the window outlasts the stream no count
+    # reaches T before the last decision, so capping the limit at T changes
+    # no decision.
+    top = min(window, trials)
+    width = top.bit_length()
+    limit = min(math.ceil(max(threshold, 0)), top)
+    # planes[j] is the mask of robots with bit j set in count + bias; the
+    # biased count lies in [bias, 2^width + top - limit], so it reaches the
+    # top plane exactly when count >= limit
+    bias = (1 << width) - limit
+    planes = [everyone if bias >> j & 1 else 0 for j in range(width + 1)]
     history = deque()
-    marked = [0] * n
     hypotheses = np.empty(trials, dtype=np.int8)
     for start in range(0, trials, _BLOCK):
         block = []
-        for row in y[start:start + _BLOCK].tolist():
-            ones = trusted = 0
-            for count, report in zip(marked, row):
-                if count < threshold:
-                    trusted += 1
-                    ones += report
-            decision = accepts[ones][trusted]
-            marks = bytes([report != decision for report in row])
+        for row in np.packbits(y[start:start + _BLOCK], axis=1, bitorder="little"):
+            row = int.from_bytes(row, "little")
+            included = everyone ^ planes[width]
+            decision = accepts[(row & included).bit_count()][included.bit_count()]
+            marks = row ^ everyone if decision else row
+            if len(history) == window:
+                borrow, j = history.popleft(), 0
+                while borrow:
+                    planes[j] ^= borrow
+                    borrow &= planes[j]
+                    j += 1
             history.append(marks)
-            if len(history) > window:
-                expired = history.popleft()
-                marked = [c + m - e for c, m, e in zip(marked, marks, expired)]
-            else:
-                marked = [c + m for c, m in zip(marked, marks)]
+            carry, j = marks, 0
+            while carry:
+                planes[j] ^= carry
+                carry &= ~planes[j]
+                j += 1
             block.append(decision)
         hypotheses[start:start + len(block)] = block
     return hypotheses

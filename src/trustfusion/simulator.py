@@ -208,27 +208,55 @@ def sample_trials(scenario: Scenario, rng: np.random.Generator, count: int) -> t
     return xi, y, a_idx
 
 
-def _rows(scenario: Scenario, xi, y, a_idx):
-    """The trials of a stream one at a time as ``(xi, y, a)`` with plain
-    Python values and ``a`` in alphabet symbols."""
-    symbols = scenario.trust.alphabet
-    for start in range(0, len(xi), _BLOCK):
-        block = slice(start, start + _BLOCK)
-        for x, y_row, a_row in zip(xi[block].tolist(), y[block].tolist(),
-                                   a_idx[block].tolist()):
-            yield x, tuple(y_row), tuple([symbols[j] for j in a_row])
-
-
 def sample_trial(scenario: Scenario, rng: np.random.Generator) -> Trial:
     """Draw one trial: the one-row case of :func:`sample_trials`."""
-    xi, y, a = next(_rows(scenario, *sample_trials(scenario, rng, 1)))
-    return Trial(xi=xi, y=y, a=a, truth=tuple(scenario.truth))
+    xi, y, a_idx = sample_trials(scenario, rng, 1)
+    symbols = scenario.trust.alphabet
+    return Trial(xi=int(xi[0]), y=tuple(y[0].tolist()),
+                 a=tuple([symbols[j] for j in a_idx[0].tolist()]),
+                 truth=tuple(scenario.truth))
+
+
+# Rows whose token ids are gathered into bytes at once in _stream_digest.
+_DIGEST_ROWS = 128
 
 
 def _stream_digest(scenario: Scenario, stream: tuple) -> str:
+    """SHA-256 over the concatenated ``repr`` of every trial, in stream order.
+
+    A trial's bytes are ``repr((xi, y, a)).encode()`` with ``xi`` an int,
+    ``y`` the tuple of reported bits and ``a`` the tuple of alphabet symbols
+    (criterion 9 and ``bench/expected.json`` pin the resulting digests). They are assembled
+    from a token table instead of formatted per row: every row is the same
+    sequence of separator, bit and symbol tokens, so a ``(rows, 4n + 3)``
+    array of token ids is filled from ``xi``, ``y`` and ``a_idx`` and the
+    tokens' bytes are gathered with one ``np.repeat`` per chunk of rows.
+    """
+    xi, y, a_idx = stream
+    n = scenario.n
+    # ids 0-6 are fixed tokens, a symbol's id is 7 + its alphabet position;
+    # a one-element tuple's repr has a trailing comma
+    close_y, close_a = ("), (", "))") if n > 1 else (",), (", ",))")
+    tokens = [b"(", b"0", b"1", b", (", b", ", close_y.encode(), close_a.encode()]
+    tokens += [repr(symbol).encode() for symbol in scenario.trust.alphabet]
+    table = np.frombuffer(b"".join(tokens), dtype=np.uint8)
+    lengths = np.array([len(token) for token in tokens], dtype=np.int32)
+    offsets = np.cumsum(lengths, dtype=np.int32) - lengths
+    template = np.full(4 * n + 3, 4, dtype=np.int32)
+    template[[0, 2, 2 * n + 2, 4 * n + 2]] = 0, 3, 5, 6
     h = hashlib.sha256()
-    for row in _rows(scenario, *stream):
-        h.update(repr(row).encode())
+    for start in range(0, len(xi), _DIGEST_ROWS):
+        rows = slice(start, start + _DIGEST_ROWS)
+        ids = np.tile(template, (len(xi[rows]), 1))
+        ids[:, 1] = xi[rows] + 1
+        ids[:, 3:2 * n + 2:2] = y[rows] + 1
+        ids[:, 2 * n + 3:4 * n + 2:2] = a_idx[rows].astype(np.int32) + 7
+        ids = ids.ravel()
+        spans = lengths[ids]
+        ends = np.cumsum(spans, dtype=np.int32)
+        gather = np.repeat(offsets[ids] - (ends - spans), spans)
+        gather += np.arange(len(gather), dtype=np.int32)
+        h.update(table[gather].tobytes())
     return h.hexdigest()
 
 
@@ -245,6 +273,10 @@ def _aglrt_by_count_class(scenario: Scenario, stream: tuple):
     |log_den|)`` of the prior threshold is tied, and rounding decides it
     differently in different orders: each of its rows is decided on its
     own, so the hypotheses are bit for bit the row-by-row ones.
+
+    Classes are keyed by row bytes: each ``_BLOCK`` slice's count vectors
+    are viewed as one ``np.void`` item per row, and every row is looked up
+    in one dict of the classes seen so far.
     """
     xi, y, a_idx = stream
     trust = scenario.trust
@@ -272,14 +304,11 @@ def _aglrt_by_count_class(scenario: Scenario, stream: tuple):
         codes = 2 * a_idx[rows].astype(np.intp) + y[rows]
         codes += width * np.arange(len(codes))[:, None]
         counts = np.bincount(codes.ravel(), minlength=width * len(codes))
-        vectors, first, inverse = np.unique(counts.reshape(-1, width), axis=0,
-                                            return_index=True, return_inverse=True)
-        keys = [vector.tobytes() for vector in vectors]
-        for key, row in zip(keys, first.tolist()):
+        keys = counts.view(np.dtype((np.void, width * counts.itemsize))).tolist()
+        for row, key in enumerate(keys):
             if key not in classes:
                 classes[key] = class_hypothesis(start + row)
-        decided = np.array([classes[key] for key in keys], dtype=np.int8)
-        hypotheses[rows] = decided[inverse.reshape(-1)]
+        hypotheses[rows] = [classes[key] for key in keys]
         for row in np.flatnonzero(hypotheses[rows] < 0).tolist():
             hypotheses[start + row] = decide_row(start + row).hypothesis
     return hypotheses

@@ -8,6 +8,7 @@ as possible with the implementation paths under test.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from collections import deque
 from itertools import product
@@ -347,10 +348,11 @@ def per_trial_reputation_decide(y, sensors, gamma_ts: float, window: int,
     """The reputation rule as one fused-rule call per trial.
 
     A ``window``-row ring of 0/1 marks, summed over the rows before every
-    decision; row ``t % window`` holds the marks of trial ``t``.
+    decision; row ``t % window`` holds the marks of trial ``t``. A window
+    longer than the stream never wraps, so the ring has at most ``T`` rows.
     """
     y = np.asarray(y)
-    marks = np.zeros((window, y.shape[1]), dtype=np.int8)
+    marks = np.zeros((min(window, len(y)), y.shape[1]), dtype=np.int8)
     hypotheses = np.empty(len(y), dtype=np.int8)
     for t, y_t in enumerate(y):
         hypotheses[t] = decide_hypothesis(y_t, marks.sum(axis=0) < threshold, sensors,
@@ -370,6 +372,18 @@ def per_row_aglrt_hypotheses(scenario, stream):
                      scenario.prior_h1).hypothesis
         for x, y_row, a_row in zip(xi.tolist(), y.tolist(), a_idx.tolist())
     ], dtype=np.int8)
+
+
+def repr_stream_digest(scenario, stream) -> str:
+    """SHA-256 over ``repr((xi, y, a)).encode()`` of every row in order, with
+    ``y`` and ``a`` tuples of plain Python values and ``a`` in alphabet
+    symbols."""
+    xi, y, a_idx = stream
+    symbols = scenario.trust.alphabet
+    h = hashlib.sha256()
+    for x, y_row, a_row in zip(xi.tolist(), y.tolist(), a_idx.tolist()):
+        h.update(repr((x, tuple(y_row), tuple(symbols[j] for j in a_row))).encode())
+    return h.hexdigest()
 
 
 def per_trial_reference_sample(scenario, rng) -> tuple:

@@ -114,19 +114,21 @@ class TestReputation:
                                   SENSORS, 0.0, 5, 2.5) for _ in range(2)]
         assert np.array_equal(runs[0], runs[1])
 
-    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("seed", range(12))
     def test_equals_per_trial_rule(self, seed):
-        # random streams and sensors; windows 1-6 with integer and fractional
-        # thresholds, a single robot, and a window longer than the stream
+        # random streams and sensors; windows 1-9 and 16, where a count rolls
+        # into a new bit plane, with negative, integer and fractional
+        # thresholds; a single robot, robot counts around machine-word
+        # widths, and windows longer than the stream
         rng = np.random.default_rng(seed)
-        n = 1 if seed == 0 else int(rng.integers(2, 14))
+        n = {0: 1, 8: 63, 9: 64, 10: 65, 11: 200}.get(seed) or int(rng.integers(2, 14))
         trials = int(rng.integers(1, 400))
         y = (rng.random((trials, n)) < rng.uniform(0.2, 0.8, n)).astype(np.int8)
         sensors = LegitimateSensorModel(float(rng.uniform(0.05, 0.45)),
                                         float(rng.uniform(0.05, 0.45)))
         gamma_ts = float(rng.normal(0.0, 1.0))
-        for window in (1, 2, 3, 4, 5, 6, trials + 3):
-            for threshold in {0.0, 0.5, float(window // 2), window - 0.5}:
+        for window in (1, 2, 3, 4, 5, 6, 7, 8, 9, 16, trials + 3, 10**8):
+            for threshold in {-1.0, 0.0, 0.5, float(window // 2), window - 0.5}:
                 assert np.array_equal(
                     reputation_decide(y, sensors, gamma_ts, window, threshold),
                     per_trial_reputation_decide(y, sensors, gamma_ts, window, threshold),
@@ -139,6 +141,17 @@ class TestReputation:
             assert np.array_equal(reputation_decide(y, SENSORS, 0.0, window, threshold),
                                   per_trial_reputation_decide(y, SENSORS, 0.0, window,
                                                               threshold))
+
+    def test_huge_window_equals_one_past_the_stream(self):
+        # a window longer than the stream never drops a mark, whatever its
+        # length; the counters are sized from the stream, not the window
+        rng = np.random.default_rng(12)
+        y = (rng.random((2 * _BLOCK + 37, 9)) < 0.5).astype(np.int8)
+        for threshold in (0.5, 2.5, 40.0, 1000.0):
+            assert np.array_equal(
+                reputation_decide(y, SENSORS, 0.0, 10**8, threshold),
+                reputation_decide(y, SENSORS, 0.0, len(y) + 1, threshold),
+            ), threshold
 
     def test_invalid_threshold_rejected(self):
         with pytest.raises(ValidationError):

@@ -7,7 +7,11 @@ import numpy as np
 import pytest
 
 import trustfusion.simulator as simulator
-from oracles import per_row_aglrt_hypotheses, per_trial_reference_sample
+from oracles import (
+    per_row_aglrt_hypotheses,
+    per_trial_reference_sample,
+    repr_stream_digest,
+)
 from trustfusion.models import (
     LegitimateSensorModel,
     MaliciousStrategy,
@@ -20,6 +24,7 @@ from trustfusion.simulator import (
     _BLOCK,
     ExperimentConfig,
     _decide,
+    _stream_digest,
     parse_method,
     place_malicious,
     run_experiment,
@@ -162,6 +167,34 @@ class TestSampleTrials:
         assert rows == expected
         # the two generators stay aligned
         assert rng.random() == ref_rng.random()
+
+
+class TestStreamDigest:
+    """The token-table digest equals the ``repr`` walk it replaces."""
+
+    ALPHABETS = {
+        "bits": (0, 1),
+        "ints": (-3, 10, 200),
+        "floats": (0.25, 1e-07),
+        "strings": ("L", "MID", "it's", "\u00e9"),
+        # positions past 248 wrap a uint8 id offset by 7
+        "250-symbols": tuple(range(-125, 125)),
+    }
+
+    @pytest.mark.parametrize("count", [1, 127, 2 * _BLOCK + 37])
+    @pytest.mark.parametrize("n", [1, 2, 40])
+    @pytest.mark.parametrize("name", sorted(ALPHABETS))
+    def test_equals_repr_walk(self, name, n, count):
+        alphabet = self.ALPHABETS[name]
+        size = len(alphabet)
+        ramp = np.arange(1, size + 1)
+        trust = TrustModel(alphabet=alphabet, pmf_legit=(1 / size,) * size,
+                           pmf_malicious=tuple(ramp / ramp.sum()))
+        truth = tuple(int(i % 3 > 0) for i in range(n))
+        scenario = replace(make_scenario(truth, p_f=0.7, raw=0.2), trust=trust)
+        stream = sample_trials(scenario, substream(count, n), count)
+        stream[2][-1] = size - 1
+        assert _stream_digest(scenario, stream) == repr_stream_digest(scenario, stream)
 
 
 class TestAglrtCountClasses:
