@@ -34,15 +34,7 @@ from .two_stage import (
     trust_probabilities,
     worst_case_error,
 )
-from .aglrt import (
-    CandidateSet,
-    InnerMaxResult,
-    aglrt_decide,
-    brute_force_glrt,
-    candidate_set,
-    inner_max,
-    mle_adversary_param,
-)
+from .aglrt import CandidateSet, aglrt_decide, brute_force_glrt, candidate_set
 from .baselines import oblivious_decide, oracle_decide, reputation_decide
 from .simulator import (
     ExperimentConfig,
@@ -77,12 +69,9 @@ __all__ = [
     "trust_probabilities",
     "worst_case_error",
     "CandidateSet",
-    "InnerMaxResult",
     "aglrt_decide",
     "brute_force_glrt",
     "candidate_set",
-    "inner_max",
-    "mle_adversary_param",
     "oblivious_decide",
     "oracle_decide",
     "reputation_decide",

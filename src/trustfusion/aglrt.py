@@ -4,11 +4,19 @@ The decision compares, for each hypothesis, the best achievable joint
 likelihood of the observed measurements and trust scores over every robot
 labeling and every malicious reporting rate. The best rate for a labeling is
 its fraction of wrong reports among the robots labeled malicious, so a
-branch maximum depends only on two counts: ``k_w`` malicious labels among
-the reports that contradict the branch and ``k_r`` among those that agree.
-Sorted gain prefix sums give every count pair's best labeling, one
-``O(N^2)`` table locates the maximum, and the few rates attaining it are
-re-evaluated robot by robot to keep the tie rules and summation order.
+branch maximum depends only on how many robots are labeled malicious among
+the ``n0`` robots reporting 0 and among the ``n1`` reporting 1.
+
+A robot enters only through its code ``2*j + y`` (score position ``j``,
+report ``y``): every robot with the same code has the same weights, so the
+per-robot constants of both branches come from one small per-code table and
+each group's sorted gains from per-code gains repeated by their counts. One
+``(2, n0+1, n1+1)`` table of count pairs locates both branch maxima at once.
+The few rates within rounding of a maximum are re-evaluated by labeling each
+code and summing the chosen values over the robots in row order, which is
+the order a robot-by-robot scan would sum them in: a branch value is a sum
+of ``n`` logs, so its last bits, and with them the ties between rates and
+between the two branches, depend on that order.
 
 A full exponential enumeration over labelings is included as a verification
 oracle for small networks.
@@ -18,6 +26,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -33,10 +43,7 @@ from .stats import NEG_INF, log_pow
 
 __all__ = [
     "CandidateSet",
-    "InnerMaxResult",
     "candidate_set",
-    "inner_max",
-    "mle_adversary_param",
     "aglrt_decide",
     "brute_force_glrt",
     "BRUTE_FORCE_MAX_N",
@@ -55,14 +62,6 @@ class CandidateSet:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class InnerMaxResult:
-    """Best labeling and its joint log-likelihood at one candidate rate."""
-
-    log_likelihood: float
-    t_hat: tuple
-
-
 def candidate_set(n: int) -> CandidateSet:
     """All reduced fractions Tn/Td with 0 <= Tn <= Td and 1 <= Td <= n.
 
@@ -76,118 +75,120 @@ def candidate_set(n: int) -> CandidateSet:
         {tn / td for td in range(1, n + 1) for tn in range(td + 1)})))
 
 
-def _branch_tables(a, y, branch: int, trust: TrustModel,
-                   sensors: LegitimateSensorModel) -> tuple:
-    """Per-robot constants reused across all candidate rates.
+def _code_constants(trust: TrustModel, sensors: LegitimateSensorModel) -> tuple:
+    """Per-code constants of both branches, indexed by code ``2*j + y``.
 
-    Returns ``(log_cl, log_pa0, wrong)`` where ``log_cl[i]`` is the log joint
-    weight of calling robot i legitimate, ``log_pa0[i]`` the log trust-score
-    weight of calling it malicious, and ``wrong[i]`` marks a report that
-    contradicts the branch hypothesis (the exponent of the adversary rate).
+    Entry ``b`` is ``(log_cl, log_pa0, wrong)`` for branch ``b``:
+    ``log_cl[c]`` is the log joint weight of calling a robot with code ``c``
+    legitimate, ``log_pa0[c]`` the log trust-score weight of calling it
+    malicious, and ``wrong[c]`` marks a report that contradicts the branch
+    hypothesis (the exponent of the adversary rate).
     """
-    p_miss = sensors.p_md_l if branch == 1 else sensors.p_fa_l
-    log_hit = math.log1p(-p_miss)
-    log_miss = math.log(p_miss)
-    log_legit = trust.log_pmf_legit
-    log_mal = trust.log_pmf_malicious
-    log_cl, log_pa0, wrong = [], [], []
-    for a_i, y_i in zip(a, y):
-        j = trust.symbol_index(a_i)
-        log_cl.append(log_legit[j] + (log_hit if y_i == branch else log_miss))
-        log_pa0.append(log_mal[j])
-        wrong.append(y_i != branch)
-    return log_cl, log_pa0, wrong
+    log_pa0 = [log_mal for log_mal in trust.log_pmf_malicious for _ in (0, 1)]
+    tables = []
+    for branch, p_miss in ((0, sensors.p_fa_l), (1, sensors.p_md_l)):
+        log_hit = math.log1p(-p_miss)
+        log_miss = math.log(p_miss)
+        by_report = (log_hit, log_miss) if branch == 0 else (log_miss, log_hit)
+        log_cl = [log_legit + r for log_legit in trust.log_pmf_legit for r in by_report]
+        wrong = [y != branch for y in (0, 1)] * len(trust.alphabet)
+        tables.append((log_cl, log_pa0, wrong))
+    return tuple(tables)
 
 
-def _best_labeling(p_m: float, log_cl, log_pa0, wrong) -> InnerMaxResult:
-    """Per-robot comparison solving the labeling maximization at a fixed rate.
+def _row_codes(trial: Trial, trust: TrustModel) -> list:
+    """Code ``2*j + y`` of every robot, in row order."""
+    return [2 * j + y for j, y in zip(trust.symbol_positions(trial.a), trial.y)]
 
-    Each robot independently contributes the larger of its legitimate and
-    malicious log-weights; ties label the robot legitimate.
+
+@lru_cache(maxsize=4)
+def _count_grids(n: int) -> np.ndarray:
+    """Read-only ``(2, n+1, n+1)`` grids over count pairs ``(k0, k1)``.
+
+    Grid 0 holds ``xlogx[k0 + k1]`` with ``xlogx[k] = k*log(k)`` (0 at
+    ``k = 0``), so its row 0 is ``xlogx`` itself; grid 1 holds the rate
+    ``k0 / (k0 + k1)``, 0.0 at ``(0, 0)``. Only cells with ``k0 + k1 <= n``
+    are read; the others repeat ``xlogx[n]``.
     """
-    log_p = math.log(p_m) if p_m > 0.0 else NEG_INF
-    log_1p = math.log1p(-p_m) if p_m < 1.0 else NEG_INF
-    total = 0.0
-    t_hat = []
-    for cl, pa0, w in zip(log_cl, log_pa0, wrong):
-        cm = pa0 + (log_p if w else log_1p)
-        if cl >= cm:
-            t_hat.append(1)
-            total += cl
-        else:
-            t_hat.append(0)
-            total += cm
-    return InnerMaxResult(log_likelihood=total, t_hat=tuple(t_hat))
-
-
-def inner_max(p_m: float, a, y, branch: int, trust: TrustModel,
-              sensors: LegitimateSensorModel) -> InnerMaxResult:
-    """Best labeling and log-likelihood for one candidate adversary rate.
-
-    ``branch`` selects the hypothesis side: 1 evaluates the event branch
-    (the rate acts as the adversary's missed-detection probability), 0 the
-    null branch (the rate acts as its false-alarm probability).
-    """
-    if not 0.0 <= p_m <= 1.0:
-        raise ValidationError(f"adversary rate {p_m!r} outside [0, 1]")
-    if branch not in (0, 1):
-        raise ValidationError(f"branch {branch!r} must be 0 or 1")
-    log_cl, log_pa0, wrong = _branch_tables(a, y, branch, trust, sensors)
-    return _best_labeling(p_m, log_cl, log_pa0, wrong)
-
-
-def mle_adversary_param(t, y, branch: int) -> float:
-    """Maximum-likelihood adversary rate for a fixed labeling.
-
-    The maximizer is the empirical fraction of branch-contradicting reports
-    among the robots labeled malicious; with no malicious robots any value
-    is optimal and 0.0 is returned as the canonical choice.
-    """
-    wrong = 0
-    total = 0
-    for t_i, y_i in zip(t, y):
-        if t_i == 0:
-            total += 1
-            wrong += 1 if y_i != branch else 0
-    if total == 0:
-        return 0.0
-    return wrong / total
-
-
-def _prefix_sums(gains):
-    """0 followed by the running sums of ``gains`` in descending order."""
-    return np.concatenate(([0.0], np.cumsum(np.sort(gains)[::-1])))
-
-
-def _branch_max(a, y, branch: int, trust: TrustModel,
-                sensors: LegitimateSensorModel) -> tuple:
-    """Branch maximum ``(value, rate, t_hat)``; ties keep the smallest rate.
-
-    The count table only selects the rates ``k_w / (k_w + k_r)`` whose value
-    is within rounding of the maximum (the empty labeling gives 0.0). Each
-    is re-evaluated per robot in ascending order, so the result is the one
-    a scan over every candidate rate would keep.
-    """
-    log_cl, log_pa0, wrong = _branch_tables(a, y, branch, trust, sensors)
-    gains = np.subtract(log_pa0, log_cl)
-    is_wrong = np.array(wrong, dtype=bool)
-    s_w = _prefix_sums(gains[is_wrong])
-    s_r = _prefix_sums(gains[~is_wrong])
-    counts = np.arange(len(gains) + 1, dtype=float)
+    counts = np.arange(n + 1, dtype=float)
     xlogx = counts * np.log(np.maximum(counts, 1.0))
-    k_w = np.arange(len(s_w))[:, None]
-    k_r = np.arange(len(s_r))[None, :]
-    table = (s_w[:, None] + xlogx[k_w]) + (s_r[None, :] + xlogx[k_r]) - xlogx[k_w + k_r]
-    top = table.max()
-    rows, cols = np.nonzero(table >= top - 1e-9 * (1.0 + abs(top)))
-    rates = sorted({w / (w + r) if w + r else 0.0
-                    for w, r in zip(rows.tolist(), cols.tolist())})
-    best = (NEG_INF, 0.0, None)
-    for p_m in rates:
-        result = _best_labeling(p_m, log_cl, log_pa0, wrong)
-        if result.log_likelihood > best[0]:
-            best = (result.log_likelihood, p_m, result.t_hat)
-    return best
+    k = np.arange(n + 1, dtype=np.int32)
+    total = np.add.outer(k, k)
+    grids = np.empty((2, n + 1, n + 1))
+    np.take(xlogx, np.minimum(total, n), out=grids[0])
+    np.divide(k[:, None], np.maximum(total, 1, out=total), out=grids[1])
+    grids.flags.writeable = False
+    return grids
+
+
+def _prefix_sums(gains, counts):
+    """0 followed by the running sums of ``gains``, each repeated by its
+    count, largest first: the floats of summing the per-robot gains in
+    descending order one by one, since equal gains sum alike in any order."""
+    repeated = [0.0]
+    for gain, count in sorted(zip(gains, counts), reverse=True):
+        repeated += [gain] * count
+    return accumulate(repeated)
+
+
+def _branch_maxima(trial: Trial, trust: TrustModel,
+                   sensors: LegitimateSensorModel) -> tuple:
+    """Both branch maxima ``(value, rate, t_hat)``, branch 0 first.
+
+    Cell ``(k0, k1)`` of the count table labels ``k0`` of the robots
+    reporting 0 and ``k1`` of those reporting 1 malicious, each group's
+    largest gains first. It only selects the rates whose value is within
+    rounding of the branch maximum (the empty labeling gives 0.0): rate
+    ``k0 / (k0 + k1)`` in branch 1 and ``k1 / (k0 + k1)`` in branch 0. Each
+    is re-evaluated in ascending order and only a strictly larger value
+    replaces the best, so ties keep the smallest rate and the result is the
+    one a scan over every candidate rate would keep. Within a rate a tie
+    labels the robot legitimate.
+    """
+    codes = _row_codes(trial, trust)
+    n = len(codes)
+    width = 2 * len(trust.alphabet)
+    counts = [0] * width
+    for c in codes:
+        counts[c] += 1
+    n0 = sum(counts[0::2])
+    n1 = n - n0
+    constants = _code_constants(trust, sensors)
+    # branch 0's then branch 1's sorted gain sums over the robots reporting
+    # 0, then the same over those reporting 1
+    sums = chain.from_iterable(
+        _prefix_sums([log_pa0[c] - log_cl[c] for c in range(y, width, 2)], counts[y::2])
+        for y in (0, 1) for log_cl, log_pa0, _ in constants)
+    flat = np.fromiter(sums, float, 2 * n + 4)
+    grids = _count_grids(n)
+    xlogx, rate = grids[0, 0], grids[1]
+    low = flat[:2 * n0 + 2].reshape(2, n0 + 1) + xlogx[:n0 + 1]
+    high = flat[2 * n0 + 2:].reshape(2, n1 + 1) + xlogx[:n1 + 1]
+    # branch 0's contradicting reports are the 1s, so its cells are the
+    # transpose of a (contradicting, agreeing) layout, exactly, since
+    # (A + B) - X == (B + A) - X
+    table = low[:, :, None] + high[:, None, :]
+    table -= grids[0, :n0 + 1, :n1 + 1]
+    maxima = []
+    for branch, top in enumerate(table.max(axis=(1, 2)).tolist()):
+        log_cl, log_pa0, wrong = constants[branch]
+        cell_rates = rate[:n0 + 1, :n1 + 1] if branch else rate[:n1 + 1, :n0 + 1].T
+        rates = cell_rates[table[branch] >= top - 1e-9 * (1.0 + abs(top))].tolist()
+        best = (NEG_INF, 0.0, None)
+        for p_m in sorted(set(rates)):
+            log_p = math.log(p_m) if p_m > 0.0 else NEG_INF
+            log_1p = math.log1p(-p_m) if p_m < 1.0 else NEG_INF
+            values = [max(cl, pa0 + (log_p if w else log_1p))
+                      for cl, pa0, w in zip(log_cl, log_pa0, wrong)]
+            total = 0.0
+            for c in codes:
+                total += values[c]
+            if total > best[0]:
+                best = (total, p_m, values)
+        total, p_m, values = best
+        labels = [1 if v == cl else 0 for v, cl in zip(values, log_cl)]
+        maxima.append((total, p_m, tuple(map(labels.__getitem__, codes))))
+    return tuple(maxima)
 
 
 def _outcome(num: tuple, den: tuple, prior_h0: float, prior_h1: float) -> DecisionOutcome:
@@ -203,7 +204,7 @@ def _outcome(num: tuple, den: tuple, prior_h0: float, prior_h1: float) -> Decisi
     log_ratio = log_num - log_den
     hypothesis = 1 if log_ratio > threshold else 0
     _, estimate, t_hat = num if hypothesis == 1 else den
-    unconstrained = all(t_i == 1 for t_i in t_hat)
+    unconstrained = 0 not in t_hat
     return DecisionOutcome(
         hypothesis=hypothesis,
         t_hat=t_hat,
@@ -220,9 +221,15 @@ def _outcome(num: tuple, den: tuple, prior_h0: float, prior_h1: float) -> Decisi
 def aglrt_decide(trial: Trial, trust: TrustModel, sensors: LegitimateSensorModel,
                  prior_h0: float, prior_h1: float) -> DecisionOutcome:
     """Full decision: maximize both branches over labelings and rates and
-    compare the log-likelihood ratio against the log prior ratio."""
-    num = _branch_max(trial.a, trial.y, 1, trust, sensors)
-    den = _branch_max(trial.a, trial.y, 0, trust, sensors)
+    compare the log-likelihood ratio against the log prior ratio.
+
+    The row is mapped once to (score, report) codes; both branches share
+    one per-code constant table and one stacked count table, and the
+    re-evaluated branch values are summed over the robots in row order, so
+    the outcome is bit for bit that of a robot-by-robot evaluation. Only
+    the count-pair grids of :func:`_count_grids` are kept between calls.
+    """
+    den, num = _branch_maxima(trial, trust, sensors)
     return _outcome(num, den, prior_h0, prior_h1)
 
 
@@ -238,9 +245,12 @@ def brute_force_glrt(trial: Trial, trust: TrustModel, sensors: LegitimateSensorM
         raise ValidationError(
             f"brute force refuses n={n} > {BRUTE_FORCE_MAX_N} (exponential cost)"
         )
+    codes = _row_codes(trial, trust)
+    constants = _code_constants(trust, sensors)
     branch_best = []
     for branch in (1, 0):
-        log_cl, log_pa0, wrong = _branch_tables(trial.a, trial.y, branch, trust, sensors)
+        log_cl, log_pa0, wrong = ([column[c] for c in codes]
+                                  for column in constants[branch])
         best = (NEG_INF, 0.0, None)
         for mask in range(1 << n):
             t = tuple((mask >> i) & 1 for i in range(n))

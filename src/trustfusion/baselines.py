@@ -58,7 +58,9 @@ def reputation_decide(y, sensors: LegitimateSensorModel, gamma_ts: float,
     so ``b = min(window, T).bit_length()`` planes hold it, and with the bias
     ``2^b - ceil(threshold)`` the robots at or over the threshold are
     exactly the mask of one more, top plane. The reports are read one
-    ``_BLOCK`` slice at a time.
+    ``_BLOCK`` slice at a time: the slice is packed to ``ceil(n/8)`` bytes
+    per row, its bytes are taken once, and each row's bitmask is one
+    ``int.from_bytes`` over its byte span.
     """
     if window < 1:
         raise ValidationError(f"history window {window!r} must be >= 1")
@@ -87,10 +89,15 @@ def reputation_decide(y, sensors: LegitimateSensorModel, gamma_ts: float,
     planes = [everyone if bias >> j & 1 else 0 for j in range(width + 1)]
     history = deque()
     hypotheses = np.empty(trials, dtype=np.int8)
+    stride = (n + 7) // 8
     for start in range(0, trials, _BLOCK):
+        rows = y[start:start + _BLOCK]
+        packed = np.packbits(rows, axis=1, bitorder="little").tobytes()
         block = []
-        for row in np.packbits(y[start:start + _BLOCK], axis=1, bitorder="little"):
-            row = int.from_bytes(row, "little")
+        offset = 0
+        for _ in range(len(rows)):
+            row = int.from_bytes(packed[offset:offset + stride], "little")
+            offset += stride
             included = everyone ^ planes[width]
             decision = accepts[(row & included).bit_count()][included.bit_count()]
             marks = row ^ everyone if decision else row

@@ -100,6 +100,14 @@ class TrustModel:
         except KeyError:
             raise ValidationError(f"symbol {a!r} not in trust alphabet") from None
 
+    def symbol_positions(self, symbols) -> list:
+        """Alphabet positions of ``symbols``, as :meth:`symbol_index` gives
+        them, in one pass; an unknown symbol raises the same error."""
+        try:
+            return list(map(self._index.__getitem__, symbols))
+        except KeyError:
+            return [self.symbol_index(a) for a in symbols]
+
 
 @dataclass(frozen=True)
 class LegitimateSensorModel:

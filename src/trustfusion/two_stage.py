@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, compress
 
 import numpy as np
 
@@ -40,7 +40,6 @@ __all__ = [
     "fusion_weights",
     "trust_probabilities",
     "accepts_h1",
-    "fusion_statistic",
     "decide_hypothesis",
     "conditional_errors",
     "worst_case_malicious_count",
@@ -132,14 +131,6 @@ def accepts_h1(ones: int, trusted: int, gamma_ts: float, w1: float, w0: float) -
     predicate is used.
     """
     return ones * (w0 + w1) >= gamma_ts + trusted * w0
-
-
-def fusion_statistic(y, t_hat, sensors: LegitimateSensorModel) -> float:
-    """Weighted sum of trusted reports (diagnostic value only)."""
-    w1, w0 = fusion_weights(sensors)
-    ones = sum(yi for yi, ti in zip(y, t_hat) if ti == 1)
-    trusted = sum(t_hat)
-    return ones * (w0 + w1) - trusted * w0
 
 
 def decide_hypothesis(y, t_hat, sensors: LegitimateSensorModel, gamma_ts: float):
@@ -301,16 +292,24 @@ def classify_trust(model: TrustModel, gamma_t: float, p_t: float, a_idx, rng):
 
 def run_two_stage(trial: Trial, thresholds: ThresholdChoice, model: TrustModel,
                   sensors: LegitimateSensorModel, gamma_ts: float, rng) -> DecisionOutcome:
-    """Classify trust from the scores, then fuse the trusted measurements."""
-    a_idx = [model.symbol_index(a_i) for a_i in trial.a]
+    """Classify trust from the scores, then fuse the trusted measurements.
+
+    The one-row case of :func:`classify_trust` and :func:`decide_hypothesis`,
+    with the same tie draws and decision, counted in plain ints. The ``s_n``
+    diagnostic is the fused statistic ``ones*(w0+w1) - trusted*w0`` of those
+    counts.
+    """
+    a_idx = model.symbol_positions(trial.a)
     t_hat = tuple(classify_trust(model, thresholds.gamma_t, thresholds.p_t, a_idx,
                                  rng).tolist())
-    hypothesis = int(decide_hypothesis(trial.y, t_hat, sensors, gamma_ts))
+    ones = sum(compress(trial.y, t_hat))
+    trusted = sum(t_hat)
+    w1, w0 = fusion_weights(sensors)
     return DecisionOutcome(
-        hypothesis=hypothesis,
+        hypothesis=1 if accepts_h1(ones, trusted, gamma_ts, w1, w0) else 0,
         t_hat=t_hat,
         diagnostics={
-            "s_n": fusion_statistic(trial.y, t_hat, sensors),
-            "trusted": float(sum(t_hat)),
+            "s_n": ones * (w0 + w1) - trusted * w0,
+            "trusted": float(trusted),
         },
     )

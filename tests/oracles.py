@@ -11,12 +11,13 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import deque
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from trustfusion.aglrt import aglrt_decide, candidate_set, inner_max
-from trustfusion.models import DecisionOutcome, Trial
+from trustfusion.aglrt import aglrt_decide, candidate_set
+from trustfusion.models import DecisionOutcome, Trial, ValidationError
 from trustfusion.two_stage import decide_hypothesis
 
 
@@ -155,14 +156,100 @@ def glrt_branch_max_by_enumeration(trial, trust, sensors, branch: int,
     return best
 
 
+@dataclass(frozen=True)
+class InnerMaxResult:
+    """Best labeling and its joint log-likelihood at one candidate rate."""
+
+    log_likelihood: float
+    t_hat: tuple
+
+
+def _branch_tables(a, y, branch: int, trust, sensors) -> tuple:
+    """Per-robot constants reused across all candidate rates.
+
+    Returns ``(log_cl, log_pa0, wrong)`` where ``log_cl[i]`` is the log joint
+    weight of calling robot i legitimate, ``log_pa0[i]`` the log trust-score
+    weight of calling it malicious, and ``wrong[i]`` marks a report that
+    contradicts the branch hypothesis (the exponent of the adversary rate).
+    """
+    p_miss = sensors.p_md_l if branch == 1 else sensors.p_fa_l
+    log_hit = math.log1p(-p_miss)
+    log_miss = math.log(p_miss)
+    log_legit = trust.log_pmf_legit
+    log_mal = trust.log_pmf_malicious
+    log_cl, log_pa0, wrong = [], [], []
+    for a_i, y_i in zip(a, y):
+        j = trust.symbol_index(a_i)
+        log_cl.append(log_legit[j] + (log_hit if y_i == branch else log_miss))
+        log_pa0.append(log_mal[j])
+        wrong.append(y_i != branch)
+    return log_cl, log_pa0, wrong
+
+
+def _best_labeling(p_m: float, log_cl, log_pa0, wrong) -> InnerMaxResult:
+    """Per-robot comparison solving the labeling maximization at a fixed rate.
+
+    Each robot independently contributes the larger of its legitimate and
+    malicious log-weights; ties label the robot legitimate. The weights are
+    summed robot by robot in row order.
+    """
+    log_p = math.log(p_m) if p_m > 0.0 else -math.inf
+    log_1p = math.log1p(-p_m) if p_m < 1.0 else -math.inf
+    total = 0.0
+    t_hat = []
+    for cl, pa0, w in zip(log_cl, log_pa0, wrong):
+        cm = pa0 + (log_p if w else log_1p)
+        if cl >= cm:
+            t_hat.append(1)
+            total += cl
+        else:
+            t_hat.append(0)
+            total += cm
+    return InnerMaxResult(log_likelihood=total, t_hat=tuple(t_hat))
+
+
+def inner_max(p_m: float, a, y, branch: int, trust, sensors) -> InnerMaxResult:
+    """Best labeling and log-likelihood for one candidate adversary rate.
+
+    ``branch`` selects the hypothesis side: 1 evaluates the event branch
+    (the rate acts as the adversary's missed-detection probability), 0 the
+    null branch (the rate acts as its false-alarm probability).
+    """
+    if not 0.0 <= p_m <= 1.0:
+        raise ValidationError(f"adversary rate {p_m!r} outside [0, 1]")
+    if branch not in (0, 1):
+        raise ValidationError(f"branch {branch!r} must be 0 or 1")
+    log_cl, log_pa0, wrong = _branch_tables(a, y, branch, trust, sensors)
+    return _best_labeling(p_m, log_cl, log_pa0, wrong)
+
+
+def mle_adversary_param(t, y, branch: int) -> float:
+    """Maximum-likelihood adversary rate for a fixed labeling.
+
+    The maximizer is the empirical fraction of branch-contradicting reports
+    among the robots labeled malicious; with no malicious robots any value
+    is optimal and 0.0 is returned as the canonical choice.
+    """
+    wrong = 0
+    total = 0
+    for t_i, y_i in zip(t, y):
+        if t_i == 0:
+            total += 1
+            wrong += 1 if y_i != branch else 0
+    if total == 0:
+        return 0.0
+    return wrong / total
+
+
 def candidate_scan_branch_max(trial, trust, sensors, branch: int) -> tuple:
     """Branch maximum ``(value, rate, t_hat)`` by scanning every candidate rate.
 
     Evaluates the best labeling at each reduced fraction with denominator at
     most n, in ascending order, and keeps the first strict maximum, so ties
     keep the smallest rate. This is the rate-by-rate search the GLRT used
-    before its count-domain kernel; O(N^3), so keep n small. It calls
-    ``inner_max`` on purpose: exact equality needs the same per-robot sums.
+    before its count-domain kernel; O(N^3), so keep n small. It sums the
+    robots one by one in row order, as ``aglrt_decide`` does, since exact
+    equality needs the same summation order.
     """
     best = (-math.inf, 0.0, None)
     for rate in candidate_set(trial.n).values:

@@ -9,15 +9,15 @@ from oracles import (
     candidate_scan_branch_max,
     candidate_scan_decide,
     glrt_branch_max_by_enumeration,
+    inner_max,
+    mle_adversary_param,
 )
 from trustfusion.aglrt import (
     BRUTE_FORCE_MAX_N,
-    _branch_max,
+    _branch_maxima,
     aglrt_decide,
     brute_force_glrt,
     candidate_set,
-    inner_max,
-    mle_adversary_param,
 )
 from trustfusion.models import LegitimateSensorModel, Trial, TrustModel, ValidationError
 from trustfusion.selfcheck import oracle_equivalence, random_instance
@@ -170,6 +170,13 @@ class TestAglrtDecide:
         assert out.diagnostics["log_ratio"] == 0.0
         assert out.hypothesis == 0
 
+    def test_unknown_symbol_rejected(self):
+        trial = make_trial((1, 0, 1), (1, 5, 0))
+        with pytest.raises(ValidationError, match="5 not in trust alphabet"):
+            aglrt_decide(trial, BINARY_TRUST, SENSORS_15, 0.5, 0.5)
+        with pytest.raises(ValidationError, match="5 not in trust alphabet"):
+            brute_force_glrt(trial, BINARY_TRUST, SENSORS_15, 0.5, 0.5)
+
     def test_all_legit_labeling_flags_arbitrary_estimate(self):
         trial = make_trial((1, 1, 1), (1, 1, 1))
         out = aglrt_decide(trial, BINARY_TRUST, SENSORS_15, 0.5, 0.5)
@@ -196,26 +203,28 @@ class TestAglrtDecide:
 
 
     def test_count_domain_search_equals_candidate_scan(self):
-        # exact equality, ties included: random instances plus models built
-        # so that labels and rates tie (symmetric scores and sensors, an
-        # uninformative symbol, sensor rates that are candidate fractions)
+        # exact equality, ties included: random instances, some at the
+        # live-loop sizes, plus models built so that labels and rates tie
+        # (mirrored or uninformative scores, symmetric sensors, sensor rates
+        # that are candidate fractions, even priors)
         rng = np.random.default_rng(2718)
         uninformative = TrustModel(alphabet=(0, 1, 2), pmf_legit=(0.5, 0.3, 0.2),
                                    pmf_malicious=(0.5, 0.2, 0.3))
         instances = [random_instance(rng, int(rng.integers(1, 31)))
                      for _ in range(120)]
+        instances += [random_instance(rng, n) for n in (40, 48, 64) for _ in range(3)]
         for trust in (BINARY_TRUST, uninformative):
             for rates in ((0.15, 0.15), (0.25, 0.25), (0.1, 0.25), (0.2, 0.2)):
-                for n in range(1, 13):
-                    for _ in range(4):
+                for n in range(1, 25):
+                    for _ in range(4 if n <= 12 else 2):
                         y = tuple(int(b) for b in rng.integers(0, 2, n))
                         a = tuple(int(s) for s in rng.integers(0, len(trust.alphabet), n))
                         instances.append((make_trial(y, a), trust,
                                           LegitimateSensorModel(*rates), 0.5, 0.5))
         for trial, trust, sensors, p0, p1 in instances:
-            for branch in (0, 1):
-                assert (_branch_max(trial.a, trial.y, branch, trust, sensors)
-                        == candidate_scan_branch_max(trial, trust, sensors, branch))
+            assert (_branch_maxima(trial, trust, sensors)
+                    == tuple(candidate_scan_branch_max(trial, trust, sensors, branch)
+                             for branch in (0, 1)))
             assert (aglrt_decide(trial, trust, sensors, p0, p1)
                     == candidate_scan_decide(trial, trust, sensors, p0, p1))
 

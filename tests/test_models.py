@@ -76,6 +76,15 @@ class TestTrustLikelihoodRatio:
         with pytest.raises(ValidationError):
             trust_lr(BINARY_TRUST, 2)
 
+    def test_symbol_positions_match_symbol_index(self):
+        model = TrustModel(alphabet=("lo", 7, None), pmf_legit=(0.2, 0.3, 0.5),
+                           pmf_malicious=(0.5, 0.3, 0.2))
+        symbols = (None, "lo", 7, 7, None)
+        assert model.symbol_positions(symbols) == [model.symbol_index(a) for a in symbols]
+        assert model.symbol_positions(()) == []
+        with pytest.raises(ValidationError, match="'hi' not in trust alphabet"):
+            model.symbol_positions(("lo", "hi", 7))
+
     def test_identical_pmfs_rejected_at_construction(self):
         with pytest.raises(ValidationError):
             TrustModel(alphabet=(0, 1), pmf_legit=(0.5, 0.5), pmf_malicious=(0.5, 0.5))

@@ -584,3 +584,38 @@ class TestRunTwoStage:
         out = run_two_stage(trial, thresholds, scenario.trust, scenario.sensors,
                             0.0, substream(1, 1))
         assert "s_n" in out.diagnostics and "trusted" in out.diagnostics
+
+    def test_one_row_equals_classify_then_decide(self):
+        # scores tie gamma_t with p_t strictly inside (0, 1), so the tie
+        # generator is drawn from; symmetric sensors and gamma_ts = 0 make
+        # equal counts a fusion tie
+        trust = TrustModel(alphabet=("lo", "mid", "hi"), pmf_legit=(0.2, 0.3, 0.5),
+                           pmf_malicious=(0.5, 0.3, 0.2))
+        gamma_t = trust.ratios[1]
+        for sensors, gamma_ts in ((SYMMETRIC_SENSORS, 0.0), (TABLE_SENSORS, 0.4)):
+            scenario = replace(self._scenario((1, 0, 1, 1, 0, 0, 1), trust=trust),
+                               sensors=sensors)
+            w1, w0 = fusion_weights(sensors)
+            trial_rng = substream(31, 0)
+            tie_rng = substream(31, 1)
+            draws = 0
+            for p_t in (0.37, 0.5, 0.91):
+                thresholds = ThresholdChoice(gamma_t=gamma_t, p_t=p_t, worst_case_pe=0.5)
+                for _ in range(100):
+                    trial = sample_trial(scenario, trial_rng)
+                    ref_rng = np.random.default_rng()
+                    ref_rng.bit_generator.state = tie_rng.bit_generator.state
+                    out = run_two_stage(trial, thresholds, trust, sensors, gamma_ts,
+                                        tie_rng)
+                    a_idx = [trust.symbol_index(a) for a in trial.a]
+                    t_hat = classify_trust(trust, gamma_t, p_t, a_idx, ref_rng)
+                    hypothesis = decide_hypothesis(trial.y, t_hat, sensors, gamma_ts)
+                    ones = int(np.sum(np.array(trial.y)[t_hat == 1]))
+                    trusted = int(t_hat.sum())
+                    assert out.hypothesis == int(hypothesis)
+                    assert out.t_hat == tuple(t_hat.tolist())
+                    assert out.diagnostics["s_n"] == ones * (w0 + w1) - trusted * w0
+                    assert out.diagnostics["trusted"] == float(trusted)
+                    assert tie_rng.bit_generator.state == ref_rng.bit_generator.state
+                    draws += trial.a.count("mid")
+            assert draws > 0
