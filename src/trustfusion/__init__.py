@@ -34,7 +34,7 @@ from .two_stage import (
     trust_probabilities,
     worst_case_error,
 )
-from .aglrt import CandidateSet, aglrt_decide, brute_force_glrt, candidate_set
+from .aglrt import aglrt_decide, brute_force_glrt, candidate_set
 from .baselines import oblivious_decide, oracle_decide, reputation_decide
 from .simulator import (
     ExperimentConfig,
@@ -68,7 +68,6 @@ __all__ = [
     "run_two_stage",
     "trust_probabilities",
     "worst_case_error",
-    "CandidateSet",
     "aglrt_decide",
     "brute_force_glrt",
     "candidate_set",

@@ -16,7 +16,8 @@ The few rates within rounding of a maximum are re-evaluated by labeling each
 code and summing the chosen values over the robots in row order, which is
 the order a robot-by-robot scan would sum them in: a branch value is a sum
 of ``n`` logs, so its last bits, and with them the ties between rates and
-between the two branches, depend on that order.
+between the two branches, depend on that order. A stream of trials is
+decided by :func:`aglrt_hypotheses` on the same core, once per count vector.
 
 A full exponential enumeration over labelings is included as a verification
 oracle for small networks.
@@ -25,13 +26,14 @@ oracle for small networks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain
 
 import numpy as np
 
 from .models import (
+    _BLOCK,
+    _MAX_ROBOTS,
     DecisionOutcome,
     LegitimateSensorModel,
     Trial,
@@ -42,7 +44,6 @@ from .models import (
 from .stats import NEG_INF, log_pow
 
 __all__ = [
-    "CandidateSet",
     "candidate_set",
     "aglrt_decide",
     "brute_force_glrt",
@@ -52,18 +53,9 @@ __all__ = [
 BRUTE_FORCE_MAX_N = 16
 
 
-@dataclass(frozen=True)
-class CandidateSet:
-    """Sorted, deduplicated candidate values for the adversary rate."""
-
-    values: tuple
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def candidate_set(n: int) -> CandidateSet:
-    """All reduced fractions Tn/Td with 0 <= Tn <= Td and 1 <= Td <= n.
+def candidate_set(n: int) -> tuple:
+    """All reduced fractions Tn/Td with 0 <= Tn <= Td and 1 <= Td <= n,
+    sorted and deduplicated: the candidate values of the adversary rate.
 
     Division is correctly rounded, so equal fractions such as 2/4 and 1/2
     give the same float, while distinct ones differ by at least 1/n^2 and
@@ -71,8 +63,7 @@ def candidate_set(n: int) -> CandidateSet:
     """
     if n < 1:
         raise ValidationError(f"robot count {n!r} must be >= 1")
-    return CandidateSet(values=tuple(sorted(
-        {tn / td for td in range(1, n + 1) for tn in range(td + 1)})))
+    return tuple(sorted({tn / td for td in range(1, n + 1) for tn in range(td + 1)}))
 
 
 def _code_constants(trust: TrustModel, sensors: LegitimateSensorModel) -> tuple:
@@ -131,9 +122,10 @@ def _prefix_sums(gains, counts):
     return accumulate(repeated)
 
 
-def _branch_maxima(trial: Trial, trust: TrustModel,
-                   sensors: LegitimateSensorModel) -> tuple:
-    """Both branch maxima ``(value, rate, t_hat)``, branch 0 first.
+def _branch_maxima(codes: list, constants: tuple) -> tuple:
+    """Both branch maxima ``(value, rate, t_hat)`` of the row with robot codes
+    ``codes`` under the :func:`_code_constants` table ``constants``, branch 0
+    first.
 
     Cell ``(k0, k1)`` of the count table labels ``k0`` of the robots
     reporting 0 and ``k1`` of those reporting 1 malicious, each group's
@@ -143,17 +135,18 @@ def _branch_maxima(trial: Trial, trust: TrustModel,
     is re-evaluated in ascending order and only a strictly larger value
     replaces the best, so ties keep the smallest rate and the result is the
     one a scan over every candidate rate would keep. Within a rate a tie
-    labels the robot legitimate.
+    labels the robot legitimate. More than ``_MAX_ROBOTS`` robots raise
+    :class:`ValidationError` before any table is built.
     """
-    codes = _row_codes(trial, trust)
     n = len(codes)
-    width = 2 * len(trust.alphabet)
+    if n > _MAX_ROBOTS:
+        raise ValidationError(f"robot count {n!r} must be at most {_MAX_ROBOTS}")
+    width = len(constants[0][0])
     counts = [0] * width
     for c in codes:
         counts[c] += 1
     n0 = sum(counts[0::2])
     n1 = n - n0
-    constants = _code_constants(trust, sensors)
     # branch 0's then branch 1's sorted gain sums over the robots reporting
     # 0, then the same over those reporting 1
     sums = chain.from_iterable(
@@ -229,8 +222,53 @@ def aglrt_decide(trial: Trial, trust: TrustModel, sensors: LegitimateSensorModel
     the outcome is bit for bit that of a robot-by-robot evaluation. Only
     the count-pair grids of :func:`_count_grids` are kept between calls.
     """
-    den, num = _branch_maxima(trial, trust, sensors)
+    den, num = _branch_maxima(_row_codes(trial, trust), _code_constants(trust, sensors))
     return _outcome(num, den, prior_h0, prior_h1)
+
+
+def aglrt_hypotheses(y, a_idx, trust: TrustModel, sensors: LegitimateSensorModel,
+                     prior_h0: float, prior_h1: float) -> np.ndarray:
+    """``(T,)`` ``int8`` hypotheses of the reports ``y`` and score positions
+    ``a_idx``, both ``(T, n)`` with one trial per row.
+
+    A row enters only through its per-code counts, up to the rounding of
+    summing its robots in row order (about n ulps of a branch value). So the
+    first row of each distinct count vector is decided and its hypothesis
+    copied to the rest of its class, except that a class whose ``log_ratio``
+    lies within ``1e-9 * (1 + |log_num| + |log_den|)`` of the prior threshold
+    is a tie that robot order can break: each of its rows is decided on its
+    own. The hypotheses are bit for bit one :func:`aglrt_decide` per row.
+    Classes are keyed by the bytes of each ``_BLOCK`` slice's count rows.
+    """
+    constants = _code_constants(trust, sensors)
+    threshold = log_prior_ratio(prior_h0, prior_h1)
+    width = 2 * len(trust.alphabet)
+
+    def hypothesis(codes: list, tie) -> int:
+        # ``tie`` for a ratio within the band, unless it is None
+        den, num = _branch_maxima(codes, constants)
+        log_num, log_den = num[0], den[0]
+        log_ratio = log_num - log_den
+        if (tie is not None and abs(log_ratio - threshold)
+                <= 1e-9 * (1.0 + abs(log_num) + abs(log_den))):
+            return tie
+        return 1 if log_ratio > threshold else 0
+
+    classes = {}  # count vector bytes -> hypothesis, or -1 for a tie
+    hypotheses = np.empty(len(y), dtype=np.int8)
+    for start in range(0, len(y), _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        codes = 2 * a_idx[rows].astype(np.intp) + y[rows]
+        offset = codes + width * np.arange(len(codes))[:, None]
+        counts = np.bincount(offset.ravel(), minlength=width * len(codes))
+        keys = counts.view(np.dtype((np.void, width * counts.itemsize))).tolist()
+        for row, key in enumerate(keys):
+            if key not in classes:
+                classes[key] = hypothesis(codes[row].tolist(), -1)
+        hypotheses[rows] = [classes[key] for key in keys]
+        for row in np.flatnonzero(hypotheses[rows] < 0).tolist():
+            hypotheses[start + row] = hypothesis(codes[row].tolist(), None)
+    return hypotheses
 
 
 def brute_force_glrt(trial: Trial, trust: TrustModel, sensors: LegitimateSensorModel,

@@ -18,6 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .models import (
+    _MAX_ROBOTS,
     LegitimateSensorModel,
     MaliciousStrategy,
     Scenario,
@@ -70,10 +71,6 @@ _SCHEMA = {
     "sweep": (False, ["float"]),
 }
 
-# Largest robot count accepted: the largest N at which aglrt_decide has been
-# timed. Checked before the per-robot truth vector is built.
-_MAX_ROBOTS = 1000
-
 # Largest trials * n accepted: each point's stream is held as (trials, n)
 # one-byte arrays of reports and scores (200 MB at this cap), and deciding it
 # peaks near 9 bytes per cell (2sa's tie draws are float64), about 1 GB.
@@ -121,6 +118,7 @@ def build_config(raw: dict) -> ExperimentConfig:
     """Build a validated experiment from a raw (already type-checked) dict."""
     if raw["seed"] < 0:
         raise ConfigError(f"key 'seed' must be nonnegative, got {raw['seed']!r}")
+    # checked before the per-robot truth vector is built
     if raw["n"] > _MAX_ROBOTS:
         raise ConfigError(f"key 'n' must be at most {_MAX_ROBOTS}, got {raw['n']!r}")
     if raw["trials"] * raw["n"] > _MAX_CELLS:

@@ -32,6 +32,11 @@ _PRIOR_SUM_TOL = 1e-12
 # so a pass holds one block's intermediates whatever T is.
 _BLOCK = 1024
 
+# Largest robot count accepted: the largest N at which aglrt_decide has been
+# timed. The CLI, the A-GLRT and the minimax scan check it before building
+# their O(N^2) tables.
+_MAX_ROBOTS = 1000
+
 
 class ValidationError(ValueError):
     """A value object violates one of its declared invariants."""

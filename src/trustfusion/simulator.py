@@ -17,9 +17,12 @@ from typing import Optional
 
 import numpy as np
 
-from .aglrt import aglrt_decide
+from .aglrt import (
+    aglrt_decide,  # noqa: F401  -- unused here; bench/run.py traces this name
+    aglrt_hypotheses,
+)
 from .baselines import oblivious_decide, oracle_decide, reputation_decide
-from .models import _BLOCK, Scenario, Trial, ValidationError, log_prior_ratio
+from .models import _BLOCK, Scenario, Trial, ValidationError
 from .two_stage import (
     TwoStageConfig,
     classify_trust,
@@ -260,60 +263,6 @@ def _stream_digest(scenario: Scenario, stream: tuple) -> str:
     return h.hexdigest()
 
 
-def _aglrt_by_count_class(scenario: Scenario, stream: tuple):
-    """aglrt's hypotheses, decided once per (score, report) count class.
-
-    The A-GLRT statistic sees a trial only through how many robots share
-    each (score, report) pair, up to the rounding of summing the robots in
-    row order; every summed term is a log-probability <= 0, so reordering a
-    row moves each branch value by about n ulps of it at most. So the first
-    row with each distinct count vector is decided by :func:`aglrt_decide`
-    and its hypothesis is copied to every other row with that vector. A
-    class whose ``log_ratio`` lies within ``1e-9 * (1 + |log_num| +
-    |log_den|)`` of the prior threshold is tied, and rounding decides it
-    differently in different orders: each of its rows is decided on its
-    own, so the hypotheses are bit for bit the row-by-row ones.
-
-    Classes are keyed by row bytes: each ``_BLOCK`` slice's count vectors
-    are viewed as one ``np.void`` item per row, and every row is looked up
-    in one dict of the classes seen so far.
-    """
-    xi, y, a_idx = stream
-    trust = scenario.trust
-    symbols = trust.alphabet
-    width = 2 * len(symbols)
-    threshold = log_prior_ratio(scenario.prior_h0, scenario.prior_h1)
-
-    def decide_row(t: int):
-        trial = Trial(xi=int(xi[t]), y=tuple(y[t].tolist()),
-                      a=tuple([symbols[j] for j in a_idx[t].tolist()]),
-                      truth=scenario.truth)
-        return aglrt_decide(trial, trust, scenario.sensors,
-                            scenario.prior_h0, scenario.prior_h1)
-
-    def class_hypothesis(t: int) -> int:
-        outcome = decide_row(t)
-        d = outcome.diagnostics
-        band = 1e-9 * (1.0 + abs(d["log_num"]) + abs(d["log_den"]))
-        return -1 if abs(d["log_ratio"] - threshold) <= band else outcome.hypothesis
-
-    classes = {}  # count vector bytes -> hypothesis, or -1 for a tie
-    hypotheses = np.empty(len(xi), dtype=np.int8)
-    for start in range(0, len(xi), _BLOCK):
-        rows = slice(start, start + _BLOCK)
-        codes = 2 * a_idx[rows].astype(np.intp) + y[rows]
-        codes += width * np.arange(len(codes))[:, None]
-        counts = np.bincount(codes.ravel(), minlength=width * len(codes))
-        keys = counts.view(np.dtype((np.void, width * counts.itemsize))).tolist()
-        for row, key in enumerate(keys):
-            if key not in classes:
-                classes[key] = class_hypothesis(start + row)
-        hypotheses[rows] = [classes[key] for key in keys]
-        for row in np.flatnonzero(hypotheses[rows] < 0).tolist():
-            hypotheses[start + row] = decide_row(start + row).hypothesis
-    return hypotheses
-
-
 def _decide(name: str, config: ExperimentConfig, point_index: int, stream: tuple):
     """One method's hypotheses over a point's whole ``(xi, y, a_idx)`` stream.
 
@@ -334,7 +283,8 @@ def _decide(name: str, config: ExperimentConfig, point_index: int, stream: tuple
                                a_idx, tie_rng)
         return decide_hypothesis(y, t_hat, scenario.sensors, gamma_ts)
     if kind == "aglrt":
-        return _aglrt_by_count_class(scenario, stream)
+        return aglrt_hypotheses(y, a_idx, scenario.trust, scenario.sensors,
+                                scenario.prior_h0, scenario.prior_h1)
     if kind == "oracle":
         return oracle_decide(y, scenario.truth, scenario.sensors, gamma_ts)
     if kind == "oblivious":

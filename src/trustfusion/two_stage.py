@@ -25,6 +25,7 @@ from itertools import accumulate, compress
 import numpy as np
 
 from .models import (
+    _MAX_ROBOTS,
     DecisionOutcome,
     LegitimateSensorModel,
     Trial,
@@ -260,6 +261,8 @@ def optimize_thresholds(model: TrustModel, sensors: LegitimateSensorModel,
     duplicates such as ``(r_{j-1}, 0)`` and ``(r_j, 1)`` have bit-identical
     trust probabilities and resolve to the earlier one.
     """
+    if n > _MAX_ROBOTS:
+        raise ValidationError(f"robot count {n!r} must be at most {_MAX_ROBOTS}")
     n_malicious = worst_case_malicious_count(config.m_bar, n)
     fa, md = conditional_errors(n - n_malicious, n_malicious, config.gamma_ts, sensors)
     cost = prior_h0 * fa + prior_h1 * md

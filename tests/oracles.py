@@ -252,7 +252,7 @@ def candidate_scan_branch_max(trial, trust, sensors, branch: int) -> tuple:
     equality needs the same summation order.
     """
     best = (-math.inf, 0.0, None)
-    for rate in candidate_set(trial.n).values:
+    for rate in candidate_set(trial.n):
         result = inner_max(rate, trial.a, trial.y, branch, trust, sensors)
         if result.log_likelihood > best[0]:
             best = (result.log_likelihood, rate, result.t_hat)

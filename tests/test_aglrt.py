@@ -15,11 +15,20 @@ from oracles import (
 from trustfusion.aglrt import (
     BRUTE_FORCE_MAX_N,
     _branch_maxima,
+    _code_constants,
+    _row_codes,
     aglrt_decide,
+    aglrt_hypotheses,
     brute_force_glrt,
     candidate_set,
 )
-from trustfusion.models import LegitimateSensorModel, Trial, TrustModel, ValidationError
+from trustfusion.models import (
+    _MAX_ROBOTS,
+    LegitimateSensorModel,
+    Trial,
+    TrustModel,
+    ValidationError,
+)
 from trustfusion.selfcheck import oracle_equivalence, random_instance
 from trustfusion.stats import log_pow
 
@@ -34,13 +43,13 @@ def make_trial(y, a):
 
 class TestCandidateSet:
     def test_single_robot(self):
-        assert candidate_set(1).values == (0.0, 1.0)
+        assert candidate_set(1) == (0.0, 1.0)
 
     def test_two_robots(self):
-        assert candidate_set(2).values == (0.0, 0.5, 1.0)
+        assert candidate_set(2) == (0.0, 0.5, 1.0)
 
     def test_contains_endpoints_sorted_dedup(self):
-        values = candidate_set(12).values
+        values = candidate_set(12)
         assert values[0] == 0.0 and values[-1] == 1.0
         assert list(values) == sorted(set(values))
 
@@ -54,7 +63,7 @@ class TestCandidateSet:
 
     def test_reduced_fractions_deduplicate(self):
         # 1/2, 2/4, 3/6 ... collapse; the raw enumeration is much larger
-        values = candidate_set(6).values
+        values = candidate_set(6)
         assert values.count(0.5) == 1
 
 
@@ -79,7 +88,7 @@ class TestInnerMax:
         for _ in range(30):
             n = int(rng.integers(1, 7))
             trial, trust, sensors, _, _ = random_instance(rng, n)
-            p_m = float(rng.choice(candidate_set(n).values))
+            p_m = float(rng.choice(candidate_set(n)))
             best = inner_max(p_m, trial.a, trial.y, 1, trust, sensors)
             for mask in range(1 << n):
                 t = tuple((mask >> i) & 1 for i in range(n))
@@ -177,6 +186,15 @@ class TestAglrtDecide:
         with pytest.raises(ValidationError, match="5 not in trust alphabet"):
             brute_force_glrt(trial, BINARY_TRUST, SENSORS_15, 0.5, 0.5)
 
+    def test_robot_count_capped_before_allocating(self):
+        n = _MAX_ROBOTS + 1
+        with pytest.raises(ValidationError, match="at most"):
+            aglrt_decide(make_trial((1,) * n, (1,) * n), BINARY_TRUST, SENSORS_15,
+                         0.5, 0.5)
+        with pytest.raises(ValidationError, match="at most"):
+            aglrt_hypotheses(np.ones((1, n), dtype=np.int8), np.ones((1, n), dtype=np.uint8),
+                             BINARY_TRUST, SENSORS_15, 0.5, 0.5)
+
     def test_all_legit_labeling_flags_arbitrary_estimate(self):
         trial = make_trial((1, 1, 1), (1, 1, 1))
         out = aglrt_decide(trial, BINARY_TRUST, SENSORS_15, 0.5, 0.5)
@@ -222,7 +240,7 @@ class TestAglrtDecide:
                         instances.append((make_trial(y, a), trust,
                                           LegitimateSensorModel(*rates), 0.5, 0.5))
         for trial, trust, sensors, p0, p1 in instances:
-            assert (_branch_maxima(trial, trust, sensors)
+            assert (_branch_maxima(_row_codes(trial, trust), _code_constants(trust, sensors))
                     == tuple(candidate_scan_branch_max(trial, trust, sensors, branch)
                              for branch in (0, 1)))
             assert (aglrt_decide(trial, trust, sensors, p0, p1)
@@ -255,7 +273,7 @@ class TestEquivalentThresholdRule:
         for _ in range(20):
             n = int(rng.integers(1, 7))
             trial, trust, sensors, _, _ = random_instance(rng, n)
-            for p_m in candidate_set(n).values:
+            for p_m in candidate_set(n):
                 if p_m in (0.0, 1.0):
                     continue
                 result = inner_max(p_m, trial.a, trial.y, 1, trust, sensors)
@@ -279,7 +297,7 @@ class TestEquivalentThresholdRule:
         n = 8
         y = tuple(int(b) for b in rng.integers(0, 2, n))
         a = tuple(int(b) for b in rng.integers(0, 2, n))
-        for p_m in candidate_set(n).values:
+        for p_m in candidate_set(n):
             if p_m in (0.0, 1.0):
                 continue
             for branch in (0, 1):

@@ -14,7 +14,7 @@ from trustfusion.cli import (
     parse_config,
     preset_config,
 )
-from trustfusion.models import ValidationError
+from trustfusion.models import _MAX_ROBOTS, ValidationError
 from trustfusion.simulator import run_experiment, sweep_malicious_fraction
 
 
@@ -87,14 +87,14 @@ class TestParseConfig:
 
     def test_sizes_bounded_before_building(self):
         # both are rejected before the robot vector or the grid is allocated
-        for key, value in (("n", 1001), ("delta_p", 5e-5)):
+        for key, value in (("n", _MAX_ROBOTS + 1), ("delta_p", 5e-5)):
             raw = preset_config("hardware-replica")
             raw[key] = value
             with pytest.raises(ConfigError, match=key):
                 build_config(raw)
         raw = preset_config("hardware-replica")
-        raw.update(n=1000, delta_p=1e-4)
-        assert build_config(raw).scenario.n == 1000
+        raw.update(n=_MAX_ROBOTS, delta_p=1e-4)
+        assert build_config(raw).scenario.n == _MAX_ROBOTS
 
     def test_non_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"

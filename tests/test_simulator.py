@@ -6,19 +6,22 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import trustfusion.simulator as simulator
+import trustfusion.aglrt as aglrt
 from oracles import (
     per_row_aglrt_hypotheses,
     per_trial_reference_sample,
     repr_stream_digest,
 )
+from trustfusion.cli import build_config, preset_config
 from trustfusion.models import (
     LegitimateSensorModel,
     MaliciousStrategy,
     Scenario,
+    Trial,
     TrustModel,
     ValidationError,
     effective_malicious_probs,
+    log_prior_ratio,
 )
 from trustfusion.simulator import (
     _BLOCK,
@@ -203,11 +206,12 @@ class TestAglrtCountClasses:
     def _check(self, scenario, count, seed, monkeypatch):
         stream = sample_trials(scenario, substream(seed, 0), count)
         calls = []
-        decide = simulator.aglrt_decide
-        monkeypatch.setattr(simulator, "aglrt_decide",
-                            lambda *args: calls.append(1) or decide(*args))
-        hypotheses = _decide("aglrt", make_config(scenario, ("aglrt",), trials=count),
-                             0, stream)
+        core = aglrt._branch_maxima
+        with monkeypatch.context() as patch:
+            patch.setattr(aglrt, "_branch_maxima",
+                          lambda *args: calls.append(1) or core(*args))
+            hypotheses = _decide("aglrt", make_config(scenario, ("aglrt",), trials=count),
+                                 0, stream)
         assert hypotheses.dtype == np.int8
         assert np.array_equal(hypotheses, per_row_aglrt_hypotheses(scenario, stream))
         _, y, a_idx = stream
@@ -324,6 +328,36 @@ class TestPlacement:
         scenario = make_scenario((1,) * 4)
         with pytest.raises(ValidationError):
             place_malicious(scenario, 5, seed=0)
+
+    def test_methods_exchangeable_across_robots(self):
+        # one seeded permutation of the robot columns of the stream and of the
+        # truth vector; 2sa is left out, its tie draws follow robot order
+        config = build_config(dict(preset_config("hardware-replica"), trials=2000))
+        scenario = config.scenario
+        stream = sample_trials(scenario, substream(config.seed, 0), config.trials)
+        xi, y, a_idx = stream
+        order = np.random.default_rng(99).permutation(scenario.n)
+        permuted = replace(config, scenario=replace(
+            scenario, truth=tuple(np.array(scenario.truth)[order].tolist())))
+        permuted_stream = (xi, y[:, order], a_idx[:, order])
+        for name in ("oracle", "oblivious", "baseline1", "baseline5", "aglrt"):
+            hypotheses = _decide(name, config, 0, stream)
+            moved = np.flatnonzero(hypotheses != _decide(name, permuted, 0,
+                                                         permuted_stream))
+            if name != "aglrt":
+                assert moved.size == 0, name
+            # aglrt may move only a row whose ratio is within rounding of the
+            # prior threshold
+            threshold = log_prior_ratio(scenario.prior_h0, scenario.prior_h1)
+            symbols = scenario.trust.alphabet
+            for t in moved.tolist():
+                trial = Trial(xi=int(xi[t]), y=tuple(y[t].tolist()),
+                              a=tuple(symbols[j] for j in a_idx[t].tolist()),
+                              truth=scenario.truth)
+                d = aglrt.aglrt_decide(trial, scenario.trust, scenario.sensors,
+                                       scenario.prior_h0, scenario.prior_h1).diagnostics
+                assert (abs(d["log_ratio"] - threshold)
+                        <= 1e-9 * (1.0 + abs(d["log_num"]) + abs(d["log_den"])))
 
 
 class TestSweep:

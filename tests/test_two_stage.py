@@ -14,6 +14,7 @@ from oracles import (
 )
 from trustfusion.cli import build_config, preset_config
 from trustfusion.models import (
+    _MAX_ROBOTS,
     LegitimateSensorModel,
     MaliciousStrategy,
     Scenario,
@@ -439,6 +440,12 @@ class TestOptimizeThresholds:
         expected = exact_fixed_trust_error(SYMMETRIC_SENSORS, 0.0, 0.5, 0.5,
                                            (1,) * 5)
         assert choice.worst_case_pe == pytest.approx(expected, abs=1e-12)
+
+    def test_robot_count_capped_before_allocating(self):
+        config = TwoStageConfig(m_bar=0.4, delta_p=0.1, gamma_ts=0.0)
+        with pytest.raises(ValidationError, match="at most"):
+            optimize_thresholds(BINARY_TRUST, SYMMETRIC_SENSORS, config,
+                                _MAX_ROBOTS + 1, 0.5, 0.5)
 
     def test_choice_minimizes_count_referee(self):
         # the count-domain oracle, evaluated at every grid point, is never
