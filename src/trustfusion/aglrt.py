@@ -2,22 +2,15 @@
 
 The decision compares, for each hypothesis, the best achievable joint
 likelihood of the observed measurements and trust scores over every robot
-labeling and every malicious reporting rate. The best rate for a labeling is
-its fraction of wrong reports among the robots labeled malicious, so a
-branch maximum depends only on how many robots are labeled malicious among
-the ``n0`` robots reporting 0 and among the ``n1`` reporting 1.
-
-A robot enters only through its code ``2*j + y`` (score position ``j``,
-report ``y``): every robot with the same code has the same weights, so the
-per-robot constants of both branches come from one small per-code table and
-each group's sorted gains from per-code gains repeated by their counts. One
-``(2, n0+1, n1+1)`` table of count pairs locates both branch maxima at once.
-The few rates within rounding of a maximum are re-evaluated by labeling each
-code and summing the chosen values over the robots in row order, which is
-the order a robot-by-robot scan would sum them in: a branch value is a sum
-of ``n`` logs, so its last bits, and with them the ties between rates and
-between the two branches, depend on that order. A stream of trials is
-decided by :func:`aglrt_hypotheses` on the same core, once per count vector.
+labeling and every malicious reporting rate. A robot enters only through
+its code ``2*j + y`` (score position ``j``, report ``y``), and robots with
+the same code carry the same weights, so a branch maximum depends only on
+the per-code count vector. At the optimal rate the best labeling takes whole
+codes, so each branch is searched over at most ``(|A|+1)^2`` labelings (9
+for binary trust) whatever the number of robots. A decision is the same for
+every order of the robots, and a log-likelihood ratio within a small tie
+band of the prior threshold goes to the null hypothesis. A stream of trials
+is decided by :func:`aglrt_hypotheses` once per distinct count vector.
 
 A full exponential enumeration over labelings is included as a verification
 oracle for small networks.
@@ -26,8 +19,6 @@ oracle for small networks.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-from itertools import accumulate, chain
 
 import numpy as np
 
@@ -92,110 +83,85 @@ def _row_codes(trial: Trial, trust: TrustModel) -> list:
     return [2 * j + y for j, y in zip(trust.symbol_positions(trial.a), trial.y)]
 
 
-@lru_cache(maxsize=4)
-def _count_grids(n: int) -> np.ndarray:
-    """Read-only ``(2, n+1, n+1)`` grids over count pairs ``(k0, k1)``.
+def _xlogx(k: int) -> float:
+    """``k * log(k)``, 0.0 at ``k = 0``."""
+    return k * math.log(k) if k else 0.0
 
-    Grid 0 holds ``xlogx[k0 + k1]`` with ``xlogx[k] = k*log(k)`` (0 at
-    ``k = 0``), so its row 0 is ``xlogx`` itself; grid 1 holds the rate
-    ``k0 / (k0 + k1)``, 0.0 at ``(0, 0)``. Only cells with ``k0 + k1 <= n``
-    are read; the others repeat ``xlogx[n]``.
+
+def _class_maxima(counts: list, constants: tuple) -> tuple:
+    """Both branch maxima ``(value, rate, legit)`` of the per-code count
+    vector ``counts`` under the :func:`_code_constants` table ``constants``,
+    branch 0 first; ``legit[c]`` is 1 when the robots with code ``c`` are
+    labeled legitimate, else 0.
+
+    At a fixed rate ``p`` every robot of a code takes the same label: a code
+    whose report contradicts the branch is labeled malicious when its gain
+    ``log_pa0 - log_cl`` exceeds ``-log(p)``, one whose report agrees when
+    its gain exceeds ``-log(1 - p)``. Both bounds are nonnegative, so the
+    maximum is among the labelings that take the top ``i`` contradicting
+    and the top ``j`` agreeing codes of positive gain, each at its
+    maximum-likelihood rate ``kw / km`` (``kw`` contradicting robots among
+    the ``km`` labeled malicious). A labeling's value is the sum of its
+    contradicting codes' terms (``count * log_pa0`` or ``count * log_cl``)
+    in code order, plus that of its agreeing codes', plus ``xlogx(kw) +
+    xlogx(km - kw) - xlogx(km)``: it depends only on the counts. Among equal
+    values the smallest rate, then the fewest malicious robots, wins, so a
+    robot on a tie is labeled legitimate. More than ``_MAX_ROBOTS`` robots
+    raise :class:`ValidationError` before any search.
     """
-    counts = np.arange(n + 1, dtype=float)
-    xlogx = counts * np.log(np.maximum(counts, 1.0))
-    k = np.arange(n + 1, dtype=np.int32)
-    total = np.add.outer(k, k)
-    grids = np.empty((2, n + 1, n + 1))
-    np.take(xlogx, np.minimum(total, n), out=grids[0])
-    np.divide(k[:, None], np.maximum(total, 1, out=total), out=grids[1])
-    grids.flags.writeable = False
-    return grids
-
-
-def _prefix_sums(gains, counts):
-    """0 followed by the running sums of ``gains``, each repeated by its
-    count, largest first: the floats of summing the per-robot gains in
-    descending order one by one, since equal gains sum alike in any order."""
-    repeated = [0.0]
-    for gain, count in sorted(zip(gains, counts), reverse=True):
-        repeated += [gain] * count
-    return accumulate(repeated)
-
-
-def _branch_maxima(codes: list, constants: tuple) -> tuple:
-    """Both branch maxima ``(value, rate, t_hat)`` of the row with robot codes
-    ``codes`` under the :func:`_code_constants` table ``constants``, branch 0
-    first.
-
-    Cell ``(k0, k1)`` of the count table labels ``k0`` of the robots
-    reporting 0 and ``k1`` of those reporting 1 malicious, each group's
-    largest gains first. It only selects the rates whose value is within
-    rounding of the branch maximum (the empty labeling gives 0.0): rate
-    ``k0 / (k0 + k1)`` in branch 1 and ``k1 / (k0 + k1)`` in branch 0. Each
-    is re-evaluated in ascending order and only a strictly larger value
-    replaces the best, so ties keep the smallest rate and the result is the
-    one a scan over every candidate rate would keep. Within a rate a tie
-    labels the robot legitimate. More than ``_MAX_ROBOTS`` robots raise
-    :class:`ValidationError` before any table is built.
-    """
-    n = len(codes)
+    n = sum(counts)
     if n > _MAX_ROBOTS:
         raise ValidationError(f"robot count {n!r} must be at most {_MAX_ROBOTS}")
-    width = len(constants[0][0])
-    counts = [0] * width
-    for c in codes:
-        counts[c] += 1
-    n0 = sum(counts[0::2])
-    n1 = n - n0
-    # branch 0's then branch 1's sorted gain sums over the robots reporting
-    # 0, then the same over those reporting 1
-    sums = chain.from_iterable(
-        _prefix_sums([log_pa0[c] - log_cl[c] for c in range(y, width, 2)], counts[y::2])
-        for y in (0, 1) for log_cl, log_pa0, _ in constants)
-    flat = np.fromiter(sums, float, 2 * n + 4)
-    grids = _count_grids(n)
-    xlogx, rate = grids[0, 0], grids[1]
-    low = flat[:2 * n0 + 2].reshape(2, n0 + 1) + xlogx[:n0 + 1]
-    high = flat[2 * n0 + 2:].reshape(2, n1 + 1) + xlogx[:n1 + 1]
-    # branch 0's contradicting reports are the 1s, so its cells are the
-    # transpose of a (contradicting, agreeing) layout, exactly, since
-    # (A + B) - X == (B + A) - X
-    table = low[:, :, None] + high[:, None, :]
-    table -= grids[0, :n0 + 1, :n1 + 1]
+    present = [c for c, k in enumerate(counts) if k]
     maxima = []
-    for branch, top in enumerate(table.max(axis=(1, 2)).tolist()):
-        log_cl, log_pa0, wrong = constants[branch]
-        cell_rates = rate[:n0 + 1, :n1 + 1] if branch else rate[:n1 + 1, :n0 + 1].T
-        rates = cell_rates[table[branch] >= top - 1e-9 * (1.0 + abs(top))].tolist()
-        best = (NEG_INF, 0.0, None)
-        for p_m in sorted(set(rates)):
-            log_p = math.log(p_m) if p_m > 0.0 else NEG_INF
-            log_1p = math.log1p(-p_m) if p_m < 1.0 else NEG_INF
-            values = [max(cl, pa0 + (log_p if w else log_1p))
-                      for cl, pa0, w in zip(log_cl, log_pa0, wrong)]
-            total = 0.0
-            for c in codes:
-                total += values[c]
-            if total > best[0]:
-                best = (total, p_m, values)
-        total, p_m, values = best
-        labels = [1 if v == cl else 0 for v, cl in zip(values, log_cl)]
-        maxima.append((total, p_m, tuple(map(labels.__getitem__, codes))))
+    for log_cl, log_pa0, wrong in constants:
+        # per group, contradicting then agreeing: (terms, robots, xlogx of
+        # the robots, codes) of labeling its top `level` codes malicious
+        groups = []
+        for w in (True, False):
+            group = [c for c in present if wrong[c] == w]
+            ranked = sorted((c for c in group if log_pa0[c] > log_cl[c]),
+                            key=lambda c: log_cl[c] - log_pa0[c])
+            levels = []
+            for level in range(len(ranked) + 1):
+                taken = ranked[:level]
+                total = 0.0
+                for c in group:
+                    total += counts[c] * (log_pa0[c] if c in taken else log_cl[c])
+                k = sum(counts[c] for c in taken)
+                levels.append((total, k, _xlogx(k), taken))
+            groups.append(levels)
+        best, rate, malicious, taken = NEG_INF, 0.0, 0, []
+        for value_w, kw, xlogx_w, taken_w in groups[0]:
+            for value_r, kr, xlogx_r, taken_r in groups[1]:
+                km = kw + kr
+                total = value_w + value_r + xlogx_w + xlogx_r - _xlogx(km)
+                if total >= best:
+                    p_m = kw / km if km else 0.0
+                    if total > best or (p_m, km) < (rate, malicious):
+                        best, rate, malicious, taken = total, p_m, km, taken_w + taken_r
+        maxima.append((best, rate, [int(c not in taken) for c in range(len(counts))]))
     return tuple(maxima)
+
+
+def _decides_h1(log_num: float, log_den: float, threshold: float) -> bool:
+    """Whether the log-likelihood ratio clears ``threshold`` beyond the tie
+    band ``1e-9 * (1 + |log_num| + |log_den|)``."""
+    return log_num - log_den - threshold > 1e-9 * (1.0 + abs(log_num) + abs(log_den))
 
 
 def _outcome(num: tuple, den: tuple, prior_h0: float, prior_h1: float) -> DecisionOutcome:
     """Compare the branch maxima ``(value, rate, t_hat)`` against the priors.
 
-    An exact tie goes to the null hypothesis. The outcome carries the
-    winning branch's labeling and adversary-rate estimate; when the winning
-    labeling marks every robot legitimate the rate is unconstrained and the
-    canonical 0.0 is reported with a diagnostic flag.
+    A log-likelihood ratio within the tie band of :func:`_decides_h1` (a few
+    ulps of rounding, or an exact tie) goes to the null hypothesis. The
+    outcome carries the winning branch's labeling and adversary-rate
+    estimate; when the winning labeling marks every robot legitimate the
+    rate is unconstrained and the canonical 0.0 is reported with a
+    diagnostic flag.
     """
     log_num, log_den = num[0], den[0]
-    threshold = log_prior_ratio(prior_h0, prior_h1)
-    log_ratio = log_num - log_den
-    hypothesis = 1 if log_ratio > threshold else 0
+    hypothesis = int(_decides_h1(log_num, log_den, log_prior_ratio(prior_h0, prior_h1)))
     _, estimate, t_hat = num if hypothesis == 1 else den
     unconstrained = 0 not in t_hat
     return DecisionOutcome(
@@ -205,7 +171,7 @@ def _outcome(num: tuple, den: tuple, prior_h0: float, prior_h1: float) -> Decisi
         diagnostics={
             "log_num": log_num,
             "log_den": log_den,
-            "log_ratio": log_ratio,
+            "log_ratio": log_num - log_den,
             "adversary_estimate_arbitrary": 1.0 if unconstrained else 0.0,
         },
     )
@@ -216,14 +182,18 @@ def aglrt_decide(trial: Trial, trust: TrustModel, sensors: LegitimateSensorModel
     """Full decision: maximize both branches over labelings and rates and
     compare the log-likelihood ratio against the log prior ratio.
 
-    The row is mapped once to (score, report) codes; both branches share
-    one per-code constant table and one stacked count table, and the
-    re-evaluated branch values are summed over the robots in row order, so
-    the outcome is bit for bit that of a robot-by-robot evaluation. Only
-    the count-pair grids of :func:`_count_grids` are kept between calls.
+    The row is mapped once to its per-code counts, so the outcome is the
+    same for every order of the robots, up to ``t_hat``, which follows the
+    row.
     """
-    den, num = _branch_maxima(_row_codes(trial, trust), _code_constants(trust, sensors))
-    return _outcome(num, den, prior_h0, prior_h1)
+    codes = _row_codes(trial, trust)
+    constants = _code_constants(trust, sensors)
+    counts = [0] * len(constants[0][0])
+    for c in codes:
+        counts[c] += 1
+    maxima = [(value, rate, tuple(map(legit.__getitem__, codes)))
+              for value, rate, legit in _class_maxima(counts, constants)]
+    return _outcome(maxima[1], maxima[0], prior_h0, prior_h1)
 
 
 def aglrt_hypotheses(y, a_idx, trust: TrustModel, sensors: LegitimateSensorModel,
@@ -231,30 +201,15 @@ def aglrt_hypotheses(y, a_idx, trust: TrustModel, sensors: LegitimateSensorModel
     """``(T,)`` ``int8`` hypotheses of the reports ``y`` and score positions
     ``a_idx``, both ``(T, n)`` with one trial per row.
 
-    A row enters only through its per-code counts, up to the rounding of
-    summing its robots in row order (about n ulps of a branch value). So the
-    first row of each distinct count vector is decided and its hypothesis
-    copied to the rest of its class, except that a class whose ``log_ratio``
-    lies within ``1e-9 * (1 + |log_num| + |log_den|)`` of the prior threshold
-    is a tie that robot order can break: each of its rows is decided on its
-    own. The hypotheses are bit for bit one :func:`aglrt_decide` per row.
+    A row enters only through its per-code counts, so each distinct count
+    vector is decided once and its hypothesis copied to every row with the
+    same counts: the hypotheses are one :func:`aglrt_decide` per row.
     Classes are keyed by the bytes of each ``_BLOCK`` slice's count rows.
     """
     constants = _code_constants(trust, sensors)
     threshold = log_prior_ratio(prior_h0, prior_h1)
     width = 2 * len(trust.alphabet)
-
-    def hypothesis(codes: list, tie) -> int:
-        # ``tie`` for a ratio within the band, unless it is None
-        den, num = _branch_maxima(codes, constants)
-        log_num, log_den = num[0], den[0]
-        log_ratio = log_num - log_den
-        if (tie is not None and abs(log_ratio - threshold)
-                <= 1e-9 * (1.0 + abs(log_num) + abs(log_den))):
-            return tie
-        return 1 if log_ratio > threshold else 0
-
-    classes = {}  # count vector bytes -> hypothesis, or -1 for a tie
+    classes = {}  # count vector bytes -> hypothesis
     hypotheses = np.empty(len(y), dtype=np.int8)
     for start in range(0, len(y), _BLOCK):
         rows = slice(start, start + _BLOCK)
@@ -262,12 +217,12 @@ def aglrt_hypotheses(y, a_idx, trust: TrustModel, sensors: LegitimateSensorModel
         offset = codes + width * np.arange(len(codes))[:, None]
         counts = np.bincount(offset.ravel(), minlength=width * len(codes))
         keys = counts.view(np.dtype((np.void, width * counts.itemsize))).tolist()
+        vectors = counts.reshape(-1, width)
         for row, key in enumerate(keys):
             if key not in classes:
-                classes[key] = hypothesis(codes[row].tolist(), -1)
+                den, num = _class_maxima(vectors[row].tolist(), constants)
+                classes[key] = _decides_h1(num[0], den[0], threshold)
         hypotheses[rows] = [classes[key] for key in keys]
-        for row in np.flatnonzero(hypotheses[rows] < 0).tolist():
-            hypotheses[start + row] = hypothesis(codes[row].tolist(), None)
     return hypotheses
 
 

@@ -68,7 +68,7 @@ def random_instance(rng: np.random.Generator, n: int) -> tuple:
 
 def oracle_equivalence(n_values=range(1, 9), instances_per_n: int = 1000,
                        seed: int = 20426, tol: float = 1e-9) -> tuple:
-    """Compare the count-domain GLRT decision against brute force.
+    """Compare the class-space GLRT decision against brute force.
 
     Returns ``(ok, messages)``; a message is emitted per network size plus
     one per mismatch (decision differs, or branch maxima differ beyond

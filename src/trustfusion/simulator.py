@@ -333,9 +333,7 @@ def place_malicious(scenario: Scenario, count: int, seed: int,
 
     The decision rules are exchangeable across robot indices, so shuffling
     the placement guards against accidental position dependence without
-    affecting statistics. ``aglrt`` is exchangeable only outside its tie
-    band: a trial whose log-likelihood ratio is within rounding of the
-    prior threshold can be decided either way depending on robot order.
+    affecting statistics.
     """
     if not 0 <= count <= scenario.n:
         raise ValidationError(f"malicious count {count!r} outside 0..{scenario.n}")

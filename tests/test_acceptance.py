@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    candidate_scan_decide,
     exact_exchangeable_error,
     exact_fixed_subset_error,
     exact_fixed_trust_error,
@@ -223,20 +224,20 @@ def replica_thresholds(replica_config):
                                scenario.prior_h0, scenario.prior_h1)
 
 
-@pytest.fixture(scope="module")
-def replica_reference(replica_config, replica_thresholds):
-    """Each method's exact error rate under the replica model, with the
-    tolerance the run is held to.
+def _model_reference(config, thresholds, aglrt_hypothesis, baselines) -> dict:
+    """Each method's exact error rate under the model of ``config``'s
+    scenario at point 0, with the tolerance the run is held to.
 
-    Computed from the preset by the referees in oracles.py (and, for aglrt,
-    by brute_force_glrt over every exchangeable (score, report) class), never
-    taken from run output. The tolerance is 4 binomial standard deviations
-    at the run's trial count. baseline5 decides sequentially and has no
-    closed form: its reference is the reputation rule replayed over the
-    run's own trial stream, which has no sampling noise, so the error counts
-    must match exactly.
+    Computed by the referees in oracles.py, never taken from run output:
+    ``aglrt_hypothesis(a, y)`` decides one representative of every
+    exchangeable (score, report) class. The tolerance is 4 binomial standard
+    deviations at the run's trial count. The reputation ``baselines``
+    (name -> (window, exclusion threshold)) decide sequentially and have no
+    closed form: each reference is the rule replayed over the run's own
+    trial stream, which has no sampling noise, so the error counts must
+    match exactly.
     """
-    scenario = replica_config.scenario
+    scenario = config.scenario
     n_malicious = scenario.n_malicious
     n_legit = scenario.n - n_malicious
     attack = scenario.attack
@@ -247,6 +248,33 @@ def replica_reference(replica_config, replica_thresholds):
     model = (scenario.sensors, scenario.gamma_ts, scenario.prior_h0,
              scenario.prior_h1)
     counts = (n_legit, n_malicious, p_fa_m, p_md_m)
+    exact = {
+        "oracle": exact_fixed_trust_error(*model, scenario.truth),
+        "oblivious": exact_fixed_subset_error(*model, *counts),
+        "2sa": exact_two_stage_error_by_counts(
+            scenario.trust, *model, thresholds.gamma_t, thresholds.p_t, *counts),
+        "aglrt": exact_exchangeable_error(
+            aglrt_hypothesis, scenario.trust, scenario.sensors,
+            scenario.prior_h0, scenario.prior_h1, *counts),
+    }
+    trials = config.trials
+    reference = {name: (rate, _four_sigma(rate, trials))
+                 for name, rate in exact.items()}
+    # run_experiment draws point 0's trials from substream 0 of the seed
+    xi, y, _ = sample_trials(scenario, substream(config.seed, 0), trials)
+    for name, (window, threshold) in baselines.items():
+        replayed = reputation_replay_errors(zip(xi.tolist(), y.tolist()), scenario.n,
+                                            window, threshold, scenario.sensors,
+                                            scenario.gamma_ts)
+        reference[name] = (replayed / trials, 0.0)
+    return reference
+
+
+@pytest.fixture(scope="module")
+def replica_reference(replica_config, replica_thresholds):
+    """The replica model's exact error rates, aglrt's by brute_force_glrt;
+    baseline5 as documented: window 5, exclusion threshold 2.5."""
+    scenario = replica_config.scenario
 
     def brute_force_hypothesis(a, y):
         # the decider never reads xi or truth
@@ -254,26 +282,8 @@ def replica_reference(replica_config, replica_thresholds):
         return brute_force_glrt(trial, scenario.trust, scenario.sensors,
                                 scenario.prior_h0, scenario.prior_h1).hypothesis
 
-    exact = {
-        "oracle": exact_fixed_trust_error(*model, scenario.truth),
-        "oblivious": exact_fixed_subset_error(*model, *counts),
-        "2sa": exact_two_stage_error_by_counts(
-            scenario.trust, *model, replica_thresholds.gamma_t,
-            replica_thresholds.p_t, *counts),
-        "aglrt": exact_exchangeable_error(
-            brute_force_hypothesis, scenario.trust, scenario.sensors,
-            scenario.prior_h0, scenario.prior_h1, *counts),
-    }
-    trials = replica_config.trials
-    reference = {name: (rate, _four_sigma(rate, trials))
-                 for name, rate in exact.items()}
-    # run_experiment draws point 0's trials from substream 0 of the seed
-    xi, y, _ = sample_trials(scenario, substream(replica_config.seed, 0), trials)
-    # baseline5 as documented: window 5, exclusion threshold 2.5
-    replayed = reputation_replay_errors(zip(xi.tolist(), y.tolist()), scenario.n, 5, 2.5,
-                                        scenario.sensors, scenario.gamma_ts)
-    reference["baseline5"] = (replayed / trials, 0.0)
-    return reference
+    return _model_reference(replica_config, replica_thresholds, brute_force_hypothesis,
+                            {"baseline5": (5, 2.5)})
 
 
 @pytest.mark.parametrize("method", sorted(TABLE_PERCENT_ERRORS))
@@ -344,11 +354,46 @@ def test_criterion_8_majority_point_separation(study_results):
             )
 
 
-def test_criterion_8_no_adversary_agreement(study_results):
+@pytest.fixture(scope="module")
+def study_reference():
+    """The numerical-study model's exact error rates at fraction 0.0, where
+    no robot is malicious; aglrt's by the candidate scan, baseline1 and
+    baseline5 replayed."""
+    config = build_config(preset_config("numerical-study"))
+    scenario = config.scenario
+    assert scenario.n_malicious == 0 and config.sweep[0] == 0.0
+    thresholds = optimize_thresholds(scenario.trust, scenario.sensors, config.two_stage,
+                                     scenario.n, scenario.prior_h0, scenario.prior_h1)
+
+    def scan_hypothesis(a, y):
+        trial = Trial(xi=0, y=y, a=a, truth=(1,) * len(y))
+        return candidate_scan_decide(trial, scenario.trust, scenario.sensors,
+                                     scenario.prior_h0, scenario.prior_h1).hypothesis
+
+    return _model_reference(config, thresholds, scan_hypothesis,
+                            {"baseline1": (1, 0.5), "baseline5": (5, 2.5)})
+
+
+def test_criterion_8_no_adversary_agreement(study_results, study_reference):
+    """Without an adversary the methods with a closed-form model error agree
+    within 3 pp, and every method's run matches its model.
+
+    The spread is taken over the model's exact error rates, not over one
+    run's counts: at 1000 trials a single binomial standard deviation of
+    aglrt's rate is about 0.6 pp. Each run is held to its exact rate within
+    4 standard deviations (the reputation baselines to their replay), as
+    criterion 7 holds the replica.
+    """
     stats = study_results[0.0].stats
-    errors = [100 * s.error_rate for s in stats.values()]
-    spread = max(errors) - min(errors)
-    assert spread <= 3.0, f"spread at fraction 0.0 is {spread:.2f} pp"
+    for name, (exact, tolerance) in study_reference.items():
+        actual = stats[name].error_rate
+        assert abs(actual - exact) <= tolerance, (
+            f"{name}: simulated {100 * actual:.3f}% vs the model's exact "
+            f"{100 * exact:.3f}% (tolerance {100 * tolerance:.3f} pp)"
+        )
+    model = [study_reference[name][0] for name in ("2sa", "aglrt", "oracle", "oblivious")]
+    spread = 100 * (max(model) - min(model))
+    assert spread <= 3.0, f"exact spread at fraction 0.0 is {spread:.2f} pp"
 
 
 # --- criterion 9: byte-identical reproduction -------------------------------
@@ -368,17 +413,20 @@ def test_criterion_9_reproduce_determinism(tmp_path, capsys):
     assert svg_pair[0] == svg_pair[1]
 
 
-# Outputs at seed 42 as the per-trial implementation wrote them. Rewrites of
-# the sampler or of a decider must reproduce them byte for byte.
+# Outputs at seed 42. The hardware-replica ones are as the per-trial
+# implementation wrote them; the numerical-study ones moved once, when aglrt
+# began deciding every ratio in its tie band as the null hypothesis (2,450 ->
+# 2,447 aglrt errors over 11,000 trials). Rewrites of the sampler or of a
+# decider must reproduce them byte for byte.
 PINNED_SHA256 = {
     "hardware-replica stream_digest":
         "a5e6f4fb38fc025d6fbffffc680060118091f1e936c3ae65f697626cd4512cfa",
     "hardware-replica.csv":
         "babb8bc202e2e170fc41af2cd3871f7acff12a49fc32de8f5372e6a8c3c0fe9f",
     "numerical-study.csv":
-        "a13aa37bb9c58598f773cd04ba875cae60cd69b9a4ee39512382457eed63fb70",
+        "08ebd7f1b9854ff01094f2d5f478bd0fab07b74c59c12b6a64d5fed266dc8286",
     "numerical-study.svg":
-        "4e31d89d54841c040427e90daf00ae4f811723d7e44ec9a496b01ded792765c0",
+        "359feda260ad00de72bc80115cf6cfbbc30d8d44a81c3d84921913a3ed16919b",
 }
 
 

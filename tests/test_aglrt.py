@@ -14,9 +14,6 @@ from oracles import (
 )
 from trustfusion.aglrt import (
     BRUTE_FORCE_MAX_N,
-    _branch_maxima,
-    _code_constants,
-    _row_codes,
     aglrt_decide,
     aglrt_hypotheses,
     brute_force_glrt,
@@ -28,13 +25,17 @@ from trustfusion.models import (
     Trial,
     TrustModel,
     ValidationError,
+    log_prior_ratio,
 )
-from trustfusion.selfcheck import oracle_equivalence, random_instance
+from trustfusion.selfcheck import oracle_equivalence, random_instance, random_trust_model
 from trustfusion.stats import log_pow
 
 BINARY_TRUST = TrustModel(alphabet=(0, 1), pmf_legit=(0.2, 0.8),
                           pmf_malicious=(0.8, 0.2))
 SENSORS_15 = LegitimateSensorModel(0.15, 0.15)
+# symbol 0 is uninformative: it has the same mass under both types
+UNINFORMATIVE_TRUST = TrustModel(alphabet=(0, 1, 2), pmf_legit=(0.5, 0.3, 0.2),
+                                 pmf_malicious=(0.5, 0.2, 0.3))
 
 
 def make_trial(y, a):
@@ -179,6 +180,16 @@ class TestAglrtDecide:
         assert out.diagnostics["log_ratio"] == 0.0
         assert out.hypothesis == 0
 
+    def test_rounding_broken_tie_goes_to_null(self):
+        # the two branch maxima agree to 59 digits, but their float sums
+        # differ in the last bit: the ratio is inside the tie band
+        trial = make_trial((0,) + (1,) * 7, (0,) * 7 + (1,))
+        sensors = LegitimateSensorModel(0.25, 0.25)
+        out = aglrt_decide(trial, BINARY_TRUST, sensors, 0.5, 0.5)
+        assert 0.0 < abs(out.diagnostics["log_ratio"]) <= 1e-14
+        assert out.hypothesis == 0
+        assert brute_force_glrt(trial, BINARY_TRUST, sensors, 0.5, 0.5).hypothesis == 0
+
     def test_unknown_symbol_rejected(self):
         trial = make_trial((1, 0, 1), (1, 5, 0))
         with pytest.raises(ValidationError, match="5 not in trust alphabet"):
@@ -221,17 +232,16 @@ class TestAglrtDecide:
 
 
     def test_count_domain_search_equals_candidate_scan(self):
-        # exact equality, ties included: random instances, some at the
-        # live-loop sizes, plus models built so that labels and rates tie
-        # (mirrored or uninformative scores, symmetric sensors, sensor rates
-        # that are candidate fractions, even priors)
+        # branch values within the tie band of the candidate scan's, the same
+        # decision outside the band and the null hypothesis inside it: random
+        # instances, some at the live-loop sizes, plus models built so that
+        # labels and rates tie (mirrored or uninformative scores, symmetric
+        # sensors, sensor rates that are candidate fractions, even priors)
         rng = np.random.default_rng(2718)
-        uninformative = TrustModel(alphabet=(0, 1, 2), pmf_legit=(0.5, 0.3, 0.2),
-                                   pmf_malicious=(0.5, 0.2, 0.3))
         instances = [random_instance(rng, int(rng.integers(1, 31)))
                      for _ in range(120)]
         instances += [random_instance(rng, n) for n in (40, 48, 64) for _ in range(3)]
-        for trust in (BINARY_TRUST, uninformative):
+        for trust in (BINARY_TRUST, UNINFORMATIVE_TRUST):
             for rates in ((0.15, 0.15), (0.25, 0.25), (0.1, 0.25), (0.2, 0.2)):
                 for n in range(1, 25):
                     for _ in range(4 if n <= 12 else 2):
@@ -239,12 +249,55 @@ class TestAglrtDecide:
                         a = tuple(int(s) for s in rng.integers(0, len(trust.alphabet), n))
                         instances.append((make_trial(y, a), trust,
                                           LegitimateSensorModel(*rates), 0.5, 0.5))
+        ties = 0
         for trial, trust, sensors, p0, p1 in instances:
-            assert (_branch_maxima(_row_codes(trial, trust), _code_constants(trust, sensors))
-                    == tuple(candidate_scan_branch_max(trial, trust, sensors, branch)
-                             for branch in (0, 1)))
-            assert (aglrt_decide(trial, trust, sensors, p0, p1)
-                    == candidate_scan_decide(trial, trust, sensors, p0, p1))
+            out = aglrt_decide(trial, trust, sensors, p0, p1)
+            ref = {key: candidate_scan_branch_max(trial, trust, sensors, branch)[0]
+                   for branch, key in ((1, "log_num"), (0, "log_den"))}
+            for key, value in ref.items():
+                assert abs(out.diagnostics[key] - value) <= 1e-9 * (1.0 + abs(value))
+            if _in_tie_band(ref, p0, p1):
+                ties += 1
+                assert out.hypothesis == 0
+            else:
+                assert out.hypothesis == candidate_scan_decide(trial, trust, sensors,
+                                                               p0, p1).hypothesis
+        assert ties > 0
+
+    def test_robot_order_never_moves_the_decision(self):
+        # random rows at n <= 12 over 2-4 symbols, half of them on models
+        # built to tie; a permutation of the robots permutes t_hat and leaves
+        # every other output bit for bit the same
+        rng = np.random.default_rng(1618)
+        ties = 0
+        for index in range(400):
+            n = int(rng.integers(1, 13))
+            if index % 2:
+                trust = (BINARY_TRUST, UNINFORMATIVE_TRUST)[index % 4 // 2]
+                sensors, p0 = LegitimateSensorModel(0.15, 0.15), 0.5
+            else:
+                trust = random_trust_model(rng)
+                sensors = LegitimateSensorModel(*rng.uniform(0.01, 0.49, 2))
+                p0 = float(rng.uniform(0.05, 0.95))
+            y = rng.integers(0, 2, n).tolist()
+            a = rng.integers(0, len(trust.alphabet), n).tolist()
+            order = rng.permutation(n).tolist()
+            out = aglrt_decide(make_trial(y, a), trust, sensors, p0, 1 - p0)
+            moved = aglrt_decide(make_trial([y[i] for i in order], [a[i] for i in order]),
+                                 trust, sensors, p0, 1 - p0)
+            assert ({key: value.hex() for key, value in moved.diagnostics.items()}
+                    == {key: value.hex() for key, value in out.diagnostics.items()})
+            assert moved.hypothesis == out.hypothesis
+            assert moved.adversary_estimate.hex() == out.adversary_estimate.hex()
+            assert moved.t_hat == tuple(out.t_hat[i] for i in order)
+            ties += _in_tie_band(out.diagnostics, p0, 1 - p0)
+        assert ties > 0
+
+
+def _in_tie_band(diagnostics, prior_h0, prior_h1) -> bool:
+    log_num, log_den = diagnostics["log_num"], diagnostics["log_den"]
+    return (abs(log_num - log_den - log_prior_ratio(prior_h0, prior_h1))
+            <= 1e-9 * (1.0 + abs(log_num) + abs(log_den)))
 
 
 class TestBruteForce:

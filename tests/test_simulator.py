@@ -17,7 +17,6 @@ from trustfusion.models import (
     LegitimateSensorModel,
     MaliciousStrategy,
     Scenario,
-    Trial,
     TrustModel,
     ValidationError,
     effective_malicious_probs,
@@ -200,34 +199,57 @@ class TestStreamDigest:
         assert _stream_digest(scenario, stream) == repr_stream_digest(scenario, stream)
 
 
+def _tie_band_rows(scenario, stream) -> np.ndarray:
+    """Mask of the rows whose aglrt log-likelihood ratio lies within the tie
+    band of the prior threshold."""
+    constants = aglrt._code_constants(scenario.trust, scenario.sensors)
+    threshold = log_prior_ratio(scenario.prior_h0, scenario.prior_h1)
+    vectors, inverse = np.unique(_count_vectors(scenario, stream), axis=0,
+                                 return_inverse=True)
+    ties = []
+    for counts in vectors.tolist():
+        den, num = aglrt._class_maxima(counts, constants)
+        ties.append(abs(num[0] - den[0] - threshold)
+                    <= 1e-9 * (1.0 + abs(num[0]) + abs(den[0])))
+    return np.array(ties)[inverse.ravel()]
+
+
+def _count_vectors(scenario, stream) -> np.ndarray:
+    """``(T, 2|A|)`` per-code robot counts of every row."""
+    _, y, a_idx = stream
+    codes = 2 * a_idx.astype(np.intp) + y
+    return np.stack([np.count_nonzero(codes == c, axis=1)
+                     for c in range(2 * len(scenario.trust.alphabet))], axis=1)
+
+
 class TestAglrtCountClasses:
-    """The class path of ``_decide("aglrt", ...)`` equals one call per row."""
+    """``_decide("aglrt", ...)`` decides each distinct count vector once, and
+    equals one call per row."""
 
     def _check(self, scenario, count, seed, monkeypatch):
         stream = sample_trials(scenario, substream(seed, 0), count)
         calls = []
-        core = aglrt._branch_maxima
+        core = aglrt._class_maxima
         with monkeypatch.context() as patch:
-            patch.setattr(aglrt, "_branch_maxima",
-                          lambda *args: calls.append(1) or core(*args))
+            patch.setattr(aglrt, "_class_maxima",
+                          lambda counts, constants: (calls.append(tuple(counts))
+                                                     or core(counts, constants)))
             hypotheses = _decide("aglrt", make_config(scenario, ("aglrt",), trials=count),
                                  0, stream)
         assert hypotheses.dtype == np.int8
         assert np.array_equal(hypotheses, per_row_aglrt_hypotheses(scenario, stream))
-        _, y, a_idx = stream
-        codes = 2 * a_idx.astype(np.intp) + y
-        counts = [np.count_nonzero(codes == c, axis=1)
-                  for c in range(2 * len(scenario.trust.alphabet))]
-        classes = len(np.unique(np.stack(counts, axis=1), axis=0))
-        # one call per class plus one per row of a tied class
-        return classes, len(calls)
+        vectors = {tuple(v) for v in _count_vectors(scenario, stream).tolist()}
+        assert sorted(calls) == sorted(vectors)
+        return stream, hypotheses, len(calls)
 
-    def test_ties_fall_back_to_rows(self, monkeypatch):
+    def test_tie_classes_decided_null_once(self, monkeypatch):
         # symmetric sensors, mirrored binary trust and even priors: many count
         # vectors sit exactly on the threshold, and classes span three slices
         scenario = make_scenario((1, 0, 1, 1, 0, 1, 0, 1, 1, 0), p_f=0.5, raw=0.15)
-        classes, calls = self._check(scenario, 2 * _BLOCK + 37, 5, monkeypatch)
-        assert calls > classes
+        stream, hypotheses, _ = self._check(scenario, 2 * _BLOCK + 37, 5, monkeypatch)
+        ties = _tie_band_rows(scenario, stream)
+        assert ties.any()
+        assert not hypotheses[ties].any()
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_alphabets(self, seed, monkeypatch):
@@ -244,13 +266,12 @@ class TestAglrtCountClasses:
                                          raw=float(rng.uniform(0.0, 0.3)),
                                          prior_h1=float(rng.uniform(0.2, 0.8))),
                            trust=trust)
-        classes, calls = self._check(scenario, 2 * _BLOCK + 37, seed, monkeypatch)
-        assert classes <= calls
+        self._check(scenario, 2 * _BLOCK + 37, seed, monkeypatch)
 
     def test_single_robot(self, monkeypatch):
         scenario = make_scenario((0,), prior_h1=0.3)
-        classes, calls = self._check(scenario, 500, 2, monkeypatch)
-        assert classes == calls == 4
+        _, _, calls = self._check(scenario, 500, 2, monkeypatch)
+        assert calls == 4
 
 
 class TestRunExperiment:
@@ -331,33 +352,28 @@ class TestPlacement:
 
     def test_methods_exchangeable_across_robots(self):
         # one seeded permutation of the robot columns of the stream and of the
-        # truth vector; 2sa is left out, its tie draws follow robot order
-        config = build_config(dict(preset_config("hardware-replica"), trials=2000))
-        scenario = config.scenario
-        stream = sample_trials(scenario, substream(config.seed, 0), config.trials)
-        xi, y, a_idx = stream
-        order = np.random.default_rng(99).permutation(scenario.n)
-        permuted = replace(config, scenario=replace(
-            scenario, truth=tuple(np.array(scenario.truth)[order].tolist())))
-        permuted_stream = (xi, y[:, order], a_idx[:, order])
-        for name in ("oracle", "oblivious", "baseline1", "baseline5", "aglrt"):
-            hypotheses = _decide(name, config, 0, stream)
-            moved = np.flatnonzero(hypotheses != _decide(name, permuted, 0,
-                                                         permuted_stream))
-            if name != "aglrt":
+        # truth vector moves no decision; 2sa is left out, its tie draws
+        # follow robot order. The symmetric stream puts aglrt rows in its
+        # tie band.
+        replica = build_config(dict(preset_config("hardware-replica"), trials=2000))
+        symmetric = make_config(
+            make_scenario((1, 0, 1, 1, 0, 1, 0, 1, 1, 0), p_f=0.5, raw=0.15),
+            trials=2000, seed=replica.seed)
+        for config in (replica, symmetric):
+            scenario = config.scenario
+            stream = sample_trials(scenario, substream(config.seed, 0), config.trials)
+            xi, y, a_idx = stream
+            order = np.random.default_rng(99).permutation(scenario.n)
+            permuted = replace(config, scenario=replace(
+                scenario, truth=tuple(np.array(scenario.truth)[order].tolist())))
+            permuted_stream = (xi, y[:, order], a_idx[:, order])
+            for name in ("oracle", "oblivious", "baseline1", "baseline5", "aglrt"):
+                hypotheses = _decide(name, config, 0, stream)
+                moved = np.flatnonzero(hypotheses != _decide(name, permuted, 0,
+                                                             permuted_stream))
                 assert moved.size == 0, name
-            # aglrt may move only a row whose ratio is within rounding of the
-            # prior threshold
-            threshold = log_prior_ratio(scenario.prior_h0, scenario.prior_h1)
-            symbols = scenario.trust.alphabet
-            for t in moved.tolist():
-                trial = Trial(xi=int(xi[t]), y=tuple(y[t].tolist()),
-                              a=tuple(symbols[j] for j in a_idx[t].tolist()),
-                              truth=scenario.truth)
-                d = aglrt.aglrt_decide(trial, scenario.trust, scenario.sensors,
-                                       scenario.prior_h0, scenario.prior_h1).diagnostics
-                assert (abs(d["log_ratio"] - threshold)
-                        <= 1e-9 * (1.0 + abs(d["log_num"]) + abs(d["log_den"])))
+        # the last stream is the symmetric one
+        assert _tie_band_rows(symmetric.scenario, stream).any()
 
 
 class TestSweep:
