@@ -455,7 +455,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         if args.command == "selftest":
-            ok, lines = run_selftest(fast=True)
+            ok, lines = run_selftest()
             print("\n".join(lines))
             print("selftest:", "PASS" if ok else "FAIL")
             return 0 if ok else 1

@@ -33,8 +33,9 @@ _PRIOR_SUM_TOL = 1e-12
 _BLOCK = 1024
 
 # Largest robot count accepted: the largest N at which aglrt_decide has been
-# timed. The CLI, the A-GLRT and the minimax scan check it before building
-# their O(N^2) tables.
+# timed. The CLI checks it before sizing a run and the minimax scan before
+# building its O(N^2) tables; the A-GLRT, whose work is linear in N, checks
+# it before its class search.
 _MAX_ROBOTS = 1000
 
 

@@ -23,7 +23,6 @@ from .two_stage import (
     classify_trust,
     decide_hypothesis,
     optimize_thresholds,
-    worst_case_error,
     worst_case_malicious_count,
 )
 
@@ -147,11 +146,7 @@ def closed_form_vs_monte_carlo(n_configs: int = 5, trials: int = 100_000,
             scenario.trust, scenario.sensors, config, scenario.n,
             scenario.prior_h0, scenario.prior_h1,
         )
-        predicted = worst_case_error(
-            scenario.trust, scenario.sensors, config, scenario.n,
-            thresholds.gamma_t, thresholds.p_t,
-            scenario.prior_h0, scenario.prior_h1,
-        )
+        predicted = thresholds.worst_case_pe
         xi, y, a_idx = sample_trials(scenario, substream(seed + idx, 0), trials)
         t_hat = classify_trust(scenario.trust, thresholds.gamma_t, thresholds.p_t,
                                a_idx, substream(seed + idx, 1))
@@ -171,14 +166,10 @@ def closed_form_vs_monte_carlo(n_configs: int = 5, trials: int = 100_000,
     return ok, messages
 
 
-def run_selftest(fast: bool = True) -> tuple:
-    """Run both suites (reduced sizes by default) and collect a report."""
-    if fast:
-        eq_ok, eq_msgs = oracle_equivalence(n_values=range(1, 7), instances_per_n=200)
-        mc_ok, mc_msgs = closed_form_vs_monte_carlo(n_configs=3, trials=20_000)
-    else:
-        eq_ok, eq_msgs = oracle_equivalence()
-        mc_ok, mc_msgs = closed_form_vs_monte_carlo()
+def run_selftest() -> tuple:
+    """Run both suites at reduced sizes and collect a report."""
+    eq_ok, eq_msgs = oracle_equivalence(n_values=range(1, 7), instances_per_n=200)
+    mc_ok, mc_msgs = closed_form_vs_monte_carlo(n_configs=3, trials=20_000)
     lines = ["brute-force equivalence:"]
     lines += [f"  {m}" for m in eq_msgs]
     lines.append("closed-form vs Monte Carlo:")

@@ -111,6 +111,12 @@ class ExperimentConfig:
             raise ValidationError("no methods selected")
         for name in self.methods:
             parse_method(name)
+        # the minimax scan certifies the rule that fuses at this threshold
+        if self.two_stage.gamma_ts != self.scenario.gamma_ts:
+            raise ValidationError(
+                f"two_stage.gamma_ts {self.two_stage.gamma_ts!r} differs from the "
+                f"scenario's log prior ratio {self.scenario.gamma_ts!r}"
+            )
         if self.sweep is not None:
             if len(self.sweep) == 0:
                 raise ValidationError("sweep list is empty")
@@ -220,46 +226,45 @@ def sample_trial(scenario: Scenario, rng: np.random.Generator) -> Trial:
                  truth=tuple(scenario.truth))
 
 
-# Rows whose token ids are gathered into bytes at once in _stream_digest.
-_DIGEST_ROWS = 128
+# Bytes of digest rows formatted at once in _stream_digest.
+_DIGEST_BYTES = 1 << 16
+# Pads the symbol cells in _stream_digest; UTF-8 text never contains it.
+_PAD = b"\xff"
 
 
 def _stream_digest(scenario: Scenario, stream: tuple) -> str:
     """SHA-256 over the concatenated ``repr`` of every trial, in stream order.
 
-    A trial's bytes are ``repr((xi, y, a)).encode()`` with ``xi`` an int,
-    ``y`` the tuple of reported bits and ``a`` the tuple of alphabet symbols
-    (criterion 9 and ``bench/expected.json`` pin the resulting digests). They are assembled
-    from a token table instead of formatted per row: every row is the same
-    sequence of separator, bit and symbol tokens, so a ``(rows, 4n + 3)``
-    array of token ids is filled from ``xi``, ``y`` and ``a_idx`` and the
-    tokens' bytes are gathered with one ``np.repeat`` per chunk of rows.
+    A trial's bytes are ``repr((xi, y, a)).encode()``, with ``y`` and ``a``
+    tuples of bits and symbols; criterion 9 and ``bench/expected.json`` pin
+    the digests. A chunk of rows is one fixed-width byte array: the head
+    ``(0, (0, ..., 0), (`` with ``xi`` and ``y`` added into its digit slots,
+    one cell per robot (its symbol's bytes and ``", "``, left-padded with
+    ``_PAD``) and the closing bytes over the last separator; pads are dropped.
     """
     xi, y, a_idx = stream
     n = scenario.n
-    # ids 0-6 are fixed tokens, a symbol's id is 7 + its alphabet position;
     # a one-element tuple's repr has a trailing comma
-    close_y, close_a = ("), (", "))") if n > 1 else (",), (", ",))")
-    tokens = [b"(", b"0", b"1", b", (", b", ", close_y.encode(), close_a.encode()]
-    tokens += [repr(symbol).encode() for symbol in scenario.trust.alphabet]
-    table = np.frombuffer(b"".join(tokens), dtype=np.uint8)
-    lengths = np.array([len(token) for token in tokens], dtype=np.int32)
-    offsets = np.cumsum(lengths, dtype=np.int32) - lengths
-    template = np.full(4 * n + 3, 4, dtype=np.int32)
-    template[[0, 2, 2 * n + 2, 4 * n + 2]] = 0, 3, 5, 6
+    comma = "," if n == 1 else ""
+    head = f"(0, ({', '.join('0' * n)}{comma}), (".encode()
+    close = np.frombuffer(f"{comma}))".encode(), dtype=np.uint8)
+    symbols = [repr(symbol).encode() + b", " for symbol in scenario.trust.alphabet]
+    width = max(map(len, symbols))
+    cells = np.frombuffer(b"".join(s.rjust(width, _PAD) for s in symbols),
+                          dtype=np.uint8).reshape(len(symbols), width)
+    cells_end = len(head) + n * width
+    row_width = cells_end - 2 + len(close)
+    chunk = np.empty((max(1, _DIGEST_BYTES // row_width), row_width), dtype=np.uint8)
+    chunk[:, :len(head)] = np.frombuffer(head, dtype=np.uint8)
     h = hashlib.sha256()
-    for start in range(0, len(xi), _DIGEST_ROWS):
-        rows = slice(start, start + _DIGEST_ROWS)
-        ids = np.tile(template, (len(xi[rows]), 1))
-        ids[:, 1] = xi[rows] + 1
-        ids[:, 3:2 * n + 2:2] = y[rows] + 1
-        ids[:, 2 * n + 3:4 * n + 2:2] = a_idx[rows].astype(np.int32) + 7
-        ids = ids.ravel()
-        spans = lengths[ids]
-        ends = np.cumsum(spans, dtype=np.int32)
-        gather = np.repeat(offsets[ids] - (ends - spans), spans)
-        gather += np.arange(len(gather), dtype=np.int32)
-        h.update(table[gather].tobytes())
+    for start in range(0, len(xi), len(chunk)):
+        part = slice(start, start + len(chunk))
+        rows = chunk[:len(xi[part])]
+        rows[:, 1] = xi[part] + ord("0")
+        rows[:, 5:3 * n + 5:3] = y[part] + ord("0")
+        rows[:, len(head):cells_end] = cells[a_idx[part]].reshape(len(rows), -1)
+        rows[:, cells_end - 2:] = close
+        h.update(rows.tobytes().translate(None, _PAD))
     return h.hexdigest()
 
 

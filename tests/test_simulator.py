@@ -172,15 +172,19 @@ class TestSampleTrials:
 
 
 class TestStreamDigest:
-    """The token-table digest equals the ``repr`` walk it replaces."""
+    """The padded byte-template digest equals the ``repr`` walk it replaces."""
 
     ALPHABETS = {
         "bits": (0, 1),
         "ints": (-3, 10, 200),
         "floats": (0.25, 1e-07),
         "strings": ("L", "MID", "it's", "\u00e9"),
-        # positions past 248 wrap a uint8 id offset by 7
+        # alphabet positions up to 249, held in a uint8 a_idx
         "250-symbols": tuple(range(-125, 125)),
+        # symbol widths 1 to 42 bytes, and U+00FF encodes as C3 BF, next to
+        # the 0xFF pad; at n = 40 a row is ~1.9 kB, so 127 rows span
+        # several chunks
+        "mixed-widths": (0, "\u00ff", "x" * 40, 1e-300),
     }
 
     @pytest.mark.parametrize("count", [1, 127, 2 * _BLOCK + 37])
@@ -317,6 +321,12 @@ class TestRunExperiment:
         scenario = make_scenario((1, 0))
         with pytest.raises(ValidationError):
             make_config(scenario, ("magic",))
+
+    def test_fusion_threshold_must_match_priors(self):
+        # the minimax scan and the fusion rule would use different thresholds
+        config = make_config(make_scenario((1, 0, 1), prior_h1=0.3), ("2sa",))
+        with pytest.raises(ValidationError, match="gamma_ts"):
+            replace(config, two_stage=replace(config.two_stage, gamma_ts=0.0))
 
 
 class TestMethodParsing:
