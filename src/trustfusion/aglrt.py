@@ -150,19 +150,23 @@ def _decides_h1(log_num: float, log_den: float, threshold: float) -> bool:
     return log_num - log_den - threshold > 1e-9 * (1.0 + abs(log_num) + abs(log_den))
 
 
-def _outcome(num: tuple, den: tuple, prior_h0: float, prior_h1: float) -> DecisionOutcome:
-    """Compare the branch maxima ``(value, rate, t_hat)`` against the priors.
+def _outcome(num: tuple, den: tuple, prior_h0: float, prior_h1: float,
+             codes=None) -> DecisionOutcome:
+    """Compare the branch maxima ``(value, rate, labeling)`` against the priors.
 
     A log-likelihood ratio within the tie band of :func:`_decides_h1` (a few
     ulps of rounding, or an exact tie) goes to the null hypothesis. The
-    outcome carries the winning branch's labeling and adversary-rate
-    estimate; when the winning labeling marks every robot legitimate the
-    rate is unconstrained and the canonical 0.0 is reported with a
-    diagnostic flag.
+    outcome carries the winning branch's labeling as ``t_hat`` (mapped
+    through the row's ``codes`` when the labeling is per code) and its
+    adversary-rate estimate; when the winning labeling marks every robot
+    legitimate the rate is unconstrained and the canonical 0.0 is reported
+    with a diagnostic flag.
     """
     log_num, log_den = num[0], den[0]
     hypothesis = int(_decides_h1(log_num, log_den, log_prior_ratio(prior_h0, prior_h1)))
     _, estimate, t_hat = num if hypothesis == 1 else den
+    if codes is not None:
+        t_hat = tuple(map(t_hat.__getitem__, codes))
     unconstrained = 0 not in t_hat
     return DecisionOutcome(
         hypothesis=hypothesis,
@@ -191,9 +195,8 @@ def aglrt_decide(trial: Trial, trust: TrustModel, sensors: LegitimateSensorModel
     counts = [0] * len(constants[0][0])
     for c in codes:
         counts[c] += 1
-    maxima = [(value, rate, tuple(map(legit.__getitem__, codes)))
-              for value, rate, legit in _class_maxima(counts, constants)]
-    return _outcome(maxima[1], maxima[0], prior_h0, prior_h1)
+    den, num = _class_maxima(counts, constants)
+    return _outcome(num, den, prior_h0, prior_h1, codes)
 
 
 def aglrt_hypotheses(y, a_idx, trust: TrustModel, sensors: LegitimateSensorModel,

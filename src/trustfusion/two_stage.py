@@ -12,7 +12,10 @@ Under that attack the error depends only on how many legitimate and
 malicious robots are trusted. ``conditional_errors`` tabulates the false-alarm
 and missed-detection probability of every such count pair once, each as a
 lower binomial sum; a threshold pair only sets the binomial laws of the two
-counts, so each point of the minimax scan is one exact sum over that table.
+counts. The minimax scan evaluates its whole grid in one pass, building the
+pmf rows of a block of points at a time and taking each point's error as one
+sum over its own fixed-length row of table cells, so a point's value does not
+depend on the grid around it.
 """
 
 from __future__ import annotations
@@ -56,6 +59,10 @@ __all__ = [
 # Smallest tie-break grid step: bounds the grid of ceil(1/delta_p)+1 points
 # before any scan builds it.
 _MIN_DELTA_P = 1e-4
+
+# Most cells of the ``pmf_l * pmf_m * cost`` products that one step of the
+# minimax scan holds at once (a point whose table is larger takes a step alone).
+_BLOCK_CELLS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -162,9 +169,12 @@ def conditional_errors(n_legit: int, n_malicious: int, gamma_ts: float,
     decisions at every integer boundary. The predicate is nondecreasing in
     the count, so a false alarm is at most ``t - o[t]`` correct 0s among the
     ``k_l`` legitimate reports and a miss at most ``o[t] - 1`` correct 1s:
-    both lower binomial sums, never ``1 - cdf``.
+    both lower binomial sums, never ``1 - cdf``. More than ``_MAX_ROBOTS``
+    robots raise :class:`ValidationError` before any table is built.
     """
     n = n_legit + n_malicious
+    if n > _MAX_ROBOTS:
+        raise ValidationError(f"robot count {n!r} must be at most {_MAX_ROBOTS}")
     w1, w0 = fusion_weights(sensors)
     counts = np.arange(n + 1)
     accepts = accepts_h1(counts[:, None], counts[None, :], gamma_ts, w1, w0)
@@ -186,17 +196,50 @@ def _lower_sums(p: float, n: int, xs) -> list:
     return [0.0 if x < 0 else 1.0 if x >= n else min(partial[x], 1.0) for x in xs]
 
 
-def _mixture_error(model: TrustModel, cost, gamma_t: float, p_t: float) -> float:
-    """Mean of ``cost[k_l, k_m]`` under the binomial trusted counts that the
-    thresholds ``(gamma_t, p_t)`` imply. ``math.fsum`` rounds the exact sum
-    of the cells once, so the value does not depend on BLAS, alignment or
-    loop order.
+def _pmf_rows(probs, coef) -> np.ndarray:
+    """``(len(probs), n+1)`` Binomial(n, p) pmf rows, one per ``p`` in
+    ``probs``, by :func:`binom_pmf`'s formula: the exact coefficient
+    ``coef[k]`` times ``exp(k*log(p) + (n-k)*log1p(-p))``. Rows of ``p`` = 0
+    and 1 are exact one-hots.
     """
-    p_trust_l, p_trust_m = trust_probabilities(model, gamma_t, p_t)
-    n_legit, n_malicious = cost.shape[0] - 1, cost.shape[1] - 1
-    pmf_l = np.array([binom_pmf(k, p_trust_l, n_legit) for k in range(n_legit + 1)])
-    pmf_m = np.array([binom_pmf(k, p_trust_m, n_malicious) for k in range(n_malicious + 1)])
-    return math.fsum((np.outer(pmf_l, pmf_m) * cost).ravel().tolist())
+    n = len(coef) - 1
+    k = np.arange(n + 1.0)
+    rows = np.zeros((len(probs), n + 1))
+    inner = [i for i, p in enumerate(probs) if 0.0 < p < 1.0]
+    log_p = np.array([math.log(probs[i]) for i in inner])[:, None]
+    log_q = np.array([math.log1p(-probs[i]) for i in inner])[:, None]
+    rows[inner] = coef * np.exp(k * log_p + (n - k) * log_q)
+    rows[[i for i, p in enumerate(probs) if p == 0.0], 0] = 1.0
+    rows[[i for i, p in enumerate(probs) if p == 1.0], n] = 1.0
+    return rows
+
+
+def _mixture_errors(model: TrustModel, cost, points) -> list:
+    """Mean of ``cost[k_l, k_m]`` under the binomial trusted counts that each
+    threshold pair ``(gamma_t, p_t)`` of ``points`` implies.
+
+    Points are taken in blocks of at most ``_BLOCK_CELLS`` cells (one point
+    if its table is larger), so memory stays bounded whatever the grid. A
+    point's value is one ``np.sum`` over its own row of the
+    ``pmf_l[k_l] * pmf_m[k_m] * cost[k_l, k_m]`` cells, a row of fixed length
+    for a given ``cost``, with no BLAS contraction. Every step is elementwise
+    or confined to that row, so a point's value is bit-identical whichever
+    other points share its call or its block.
+    """
+    # conditional_errors caps the counts at _MAX_ROBOTS, so every
+    # coefficient is a finite double
+    coef_l, coef_m = (np.array([float(math.comb(n - 1, k)) for k in range(n)])
+                      for n in cost.shape)
+    probs = [trust_probabilities(model, gamma_t, p_t) for gamma_t, p_t in points]
+    step = max(1, _BLOCK_CELLS // cost.size)
+    errors = []
+    for start in range(0, len(probs), step):
+        block = probs[start:start + step]
+        pmf_l = _pmf_rows([p_l for p_l, _ in block], coef_l)
+        pmf_m = _pmf_rows([p_m for _, p_m in block], coef_m)
+        cells = pmf_l[:, :, None] * pmf_m[:, None, :] * cost
+        errors.extend(cells.reshape(len(block), -1).sum(axis=1).tolist())
+    return errors
 
 
 def worst_case_malicious_count(m_bar: float, n: int) -> int:
@@ -217,10 +260,11 @@ def worst_case_error_by_counts(model: TrustModel, sensors: LegitimateSensorModel
 
     Marginalizes over how many legitimate and malicious robots pass the
     trust stage (both binomial), with every trusted malicious robot
-    reporting the wrong bit deterministically.
+    reporting the wrong bit deterministically. The value is the one
+    :func:`optimize_thresholds` computes for the same point, bit for bit.
     """
     fa, md = conditional_errors(n_legit, n_malicious, gamma_ts, sensors)
-    return _mixture_error(model, prior_h0 * fa + prior_h1 * md, gamma_t, p_t)
+    return _mixture_errors(model, prior_h0 * fa + prior_h1 * md, [(gamma_t, p_t)])[0]
 
 
 def worst_case_error(model: TrustModel, sensors: LegitimateSensorModel,
@@ -253,28 +297,24 @@ def optimize_thresholds(model: TrustModel, sensors: LegitimateSensorModel,
 
     The trust threshold only needs to range over the per-symbol likelihood
     ratios; the tie probability ranges over the ``delta_p`` grid. The cost
-    table ``prior_h0*fa + prior_h1*md`` is built once per call, and each
-    point evaluates it as ``worst_case_error_by_counts`` does.
+    table ``prior_h0*fa + prior_h1*md`` is built once per call. Each point's
+    error is one sum over its own fixed-length row of cells, with no BLAS
+    contraction, so it is bit-identical to ``worst_case_error_by_counts``'s
+    and to its value in any other grid; a refined grid never does worse.
 
-    Points are visited by ascending ``gamma_t``, then ``p_t``, and only a
-    strictly smaller error replaces the best, so ties keep the first point;
+    Points are ordered by ascending ``gamma_t``, then ``p_t``, and the first
+    strict minimum wins, so ties keep the first point;
     duplicates such as ``(r_{j-1}, 0)`` and ``(r_j, 1)`` have bit-identical
     trust probabilities and resolve to the earlier one.
     """
-    if n > _MAX_ROBOTS:
-        raise ValidationError(f"robot count {n!r} must be at most {_MAX_ROBOTS}")
     n_malicious = worst_case_malicious_count(config.m_bar, n)
     fa, md = conditional_errors(n - n_malicious, n_malicious, config.gamma_ts, sensors)
     cost = prior_h0 * fa + prior_h1 * md
-    best: ThresholdChoice | None = None
     grid = tie_break_grid(config.delta_p)
-    for gamma_t in ratio_set(model):
-        for p_t in grid:
-            pe = _mixture_error(model, cost, gamma_t, p_t)
-            if best is None or pe < best.worst_case_pe:
-                best = ThresholdChoice(gamma_t=gamma_t, p_t=p_t, worst_case_pe=pe)
-    assert best is not None
-    return best
+    points = [(gamma_t, p_t) for gamma_t in ratio_set(model) for p_t in grid]
+    errors = _mixture_errors(model, cost, points)
+    best = min(range(len(points)), key=errors.__getitem__)
+    return ThresholdChoice(*points[best], worst_case_pe=errors[best])
 
 
 def classify_trust(model: TrustModel, gamma_t: float, p_t: float, a_idx, rng):

@@ -18,7 +18,8 @@ import numpy as np
 
 from trustfusion.aglrt import aglrt_decide, candidate_set
 from trustfusion.models import DecisionOutcome, Trial, ValidationError
-from trustfusion.two_stage import decide_hypothesis
+from trustfusion.stats import binom_pmf
+from trustfusion.two_stage import decide_hypothesis, trust_probabilities
 
 
 def fused_decision(ones: int, trusted: int, gamma_ts: float,
@@ -350,6 +351,18 @@ def exact_two_stage_error_by_counts(trust, sensors, gamma_ts: float,
                 error += weight * exact_fixed_subset_error(
                     sensors, gamma_ts, prior_h0, prior_h1, k_l, k_m, p_fa_m, p_md_m)
     return error
+
+
+def per_point_mixture_error(model, cost, gamma_t: float, p_t: float) -> float:
+    """The minimax scan's value at one threshold pair, one point at a time:
+    the mean of ``cost[k_l, k_m]`` under the binomial trusted counts, with
+    each pmf cell from one :func:`binom_pmf` call and one ``math.fsum`` (the
+    exactly rounded sum) over the cells."""
+    p_trust_l, p_trust_m = trust_probabilities(model, gamma_t, p_t)
+    n_legit, n_malicious = cost.shape[0] - 1, cost.shape[1] - 1
+    pmf_l = np.array([binom_pmf(k, p_trust_l, n_legit) for k in range(n_legit + 1)])
+    pmf_m = np.array([binom_pmf(k, p_trust_m, n_malicious) for k in range(n_malicious + 1)])
+    return math.fsum((np.outer(pmf_l, pmf_m) * cost).ravel().tolist())
 
 
 def _compositions(total: int, parts: int):

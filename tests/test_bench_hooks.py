@@ -6,6 +6,7 @@ could otherwise break the traced run without any failing check.
 
 import importlib.util
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -50,3 +51,38 @@ def test_layer_metric_names_resolve(bench):
     assert callable(bench.aglrt.candidate_set)
     assert callable(bench.two_stage.tie_break_grid)
     assert callable(bench.trustfusion.ratio_set)
+
+
+def test_cleared_caches_make_set_up_redo_every_scan(bench, monkeypatch):
+    # a memo that clear_program_caches cannot clear would make every later
+    # cold set-up free, and the run's SETUP_SHARE loop would never end
+    calls = []
+    conditional_errors = bench.two_stage.conditional_errors
+    monkeypatch.setattr(bench.two_stage, "conditional_errors",
+                        lambda *args: calls.append(args) or conditional_errors(*args))
+    raw = bench.workload_raw("sweep-n40", 1)
+    bench.clear_program_caches()
+    config = bench.set_up(raw)[0]
+    scans = len(calls)
+    assert scans == len(bench.scan_args(config)) > 0
+    bench.clear_program_caches()
+    bench.set_up(raw)
+    assert len(calls) == 2 * scans
+
+
+def test_scan_pmf_calls_do_not_grow_with_the_tie_grid(bench, monkeypatch):
+    calls = []
+    binom_pmf = bench.two_stage.binom_pmf
+    monkeypatch.setattr(bench.two_stage, "binom_pmf",
+                        lambda *args: calls.append(args) or binom_pmf(*args))
+    config = bench.cli.build_config(bench.workload_raw("live-n48", 1))
+    sc = config.scenario
+    counts = []
+    for delta_p in (0.5, 0.01):
+        bench.clear_program_caches()
+        del calls[:]
+        two_stage_config = replace(config.two_stage, delta_p=delta_p)
+        bench.two_stage.optimize_thresholds(sc.trust, sc.sensors, two_stage_config, sc.n,
+                                            sc.prior_h0, sc.prior_h1)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0

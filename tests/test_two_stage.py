@@ -11,7 +11,9 @@ from oracles import (
     exact_fixed_trust_error,
     exact_two_stage_error,
     exact_two_stage_error_by_counts,
+    per_point_mixture_error,
 )
+from trustfusion import two_stage
 from trustfusion.cli import build_config, preset_config
 from trustfusion.models import (
     _MAX_ROBOTS,
@@ -446,6 +448,9 @@ class TestOptimizeThresholds:
         with pytest.raises(ValidationError, match="at most"):
             optimize_thresholds(BINARY_TRUST, SYMMETRIC_SENSORS, config,
                                 _MAX_ROBOTS + 1, 0.5, 0.5)
+        with pytest.raises(ValidationError, match="at most"):
+            worst_case_error_by_counts(BINARY_TRUST, SYMMETRIC_SENSORS, 0.0, 0.5, 0.5,
+                                       _MAX_ROBOTS, 1, 0.25, 0.5)
 
     def test_choice_minimizes_count_referee(self):
         # the count-domain oracle, evaluated at every grid point, is never
@@ -510,6 +515,83 @@ class TestOptimizeThresholds:
             for dp in (0.2, 0.1, 0.05, 0.01)
         ]
         assert all(b <= a for a, b in zip(values, values[1:]))
+
+
+def scan_instance(model, sensors, n, m_bar, prior_h0):
+    """The worst-case cost table of one scan and its fusion threshold, the
+    log prior ratio."""
+    gamma_ts = math.log(prior_h0 / (1 - prior_h0))
+    n_mal = worst_case_malicious_count(m_bar, n)
+    fa, md = conditional_errors(n - n_mal, n_mal, gamma_ts, sensors)
+    return prior_h0 * fa + (1 - prior_h0) * md, gamma_ts
+
+
+class TestMixtureErrors:
+    """The batched scan against the per-point referee, and its independence
+    of the batch and block a point is computed in."""
+
+    def _check_against_referee(self, model, sensors, n, m_bar, prior_h0, delta_p):
+        cost, gamma_ts = scan_instance(model, sensors, n, m_bar, prior_h0)
+        ratios = ratio_set(model)
+        grid = tie_break_grid(delta_p)
+        # thresholds below and above every ratio trust everyone / no one
+        thresholds = [min(ratios) - 1.0, *ratios, max(ratios) + 1.0]
+        points = [(g, p) for g in thresholds for p in grid]
+        batched = two_stage._mixture_errors(model, cost, points)
+        for (g, p), value in zip(points, batched):
+            expected = per_point_mixture_error(model, cost, g, p)
+            assert value == pytest.approx(expected, rel=1e-12, abs=1e-300), (n, g, p)
+        # the scan keeps the referee's first strict minimum over the grid
+        scan = [(g, p) for g in ratios for p in grid]
+        referee = [per_point_mixture_error(model, cost, g, p) for g, p in scan]
+        config = TwoStageConfig(m_bar=m_bar, delta_p=delta_p, gamma_ts=gamma_ts)
+        choice = optimize_thresholds(model, sensors, config, n, prior_h0, 1 - prior_h0)
+        assert (choice.gamma_t, choice.p_t) == scan[referee.index(min(referee))]
+
+    def test_every_point_matches_per_point_referee(self):
+        rng = np.random.default_rng(1313)
+        trust_all = 0
+        for _ in range(30):
+            model = random_trust(rng, int(rng.integers(2, 5)))
+            sensors = LegitimateSensorModel(float(rng.uniform(0.05, 0.45)),
+                                            float(rng.uniform(0.05, 0.45)))
+            m_bar = float(rng.choice([0.0, float(rng.uniform(0, 1)), 1.0]))
+            self._check_against_referee(model, sensors, int(rng.integers(1, 61)), m_bar,
+                                        float(rng.uniform(0.2, 0.8)), 0.1)
+            trust_all += trust_probabilities(model, min(model.ratios) - 1.0, 0.0) == (1.0, 1.0)
+        # the exact one-hot rows of p = 1 are exercised, not only p = 0's
+        assert trust_all
+
+    def test_largest_network_matches_per_point_referee(self):
+        rng = np.random.default_rng(1000)
+        # a malicious majority keeps conditional_errors' O(n_legit^2) tails cheap
+        self._check_against_referee(random_trust(rng, 3), TABLE_SENSORS, _MAX_ROBOTS,
+                                    0.8, 0.55, 0.5)
+
+    @pytest.mark.parametrize("n, m_bar, blocks", [(40, 0.5, "several"),
+                                                  (300, 0.8, "one per point"),
+                                                  (9, 1.0, "one")])
+    def test_value_is_independent_of_batch_and_block(self, n, m_bar, blocks):
+        cost, gamma_ts = scan_instance(BINARY_TRUST, TABLE_SENSORS, n, m_bar, 0.55)
+        fine = [(g, p) for g in ratio_set(BINARY_TRUST) for p in tie_break_grid(0.01)]
+        coarse = [(g, p) for g in ratio_set(BINARY_TRUST) for p in tie_break_grid(0.1)]
+        cells = len(fine) * cost.size
+        assert {"several": cost.size < two_stage._BLOCK_CELLS < cells,
+                "one per point": two_stage._BLOCK_CELLS < cost.size,
+                "one": cells <= two_stage._BLOCK_CELLS}[blocks]
+        by_point = dict(zip(fine, two_stage._mixture_errors(BINARY_TRUST, cost, fine)))
+        reversed_order = two_stage._mixture_errors(BINARY_TRUST, cost, fine[::-1])
+        assert reversed_order == [by_point[point] for point in fine[::-1]]
+        coarse_values = two_stage._mixture_errors(BINARY_TRUST, cost, coarse)
+        assert coarse_values == [by_point[point] for point in coarse]
+        for point in fine:
+            assert two_stage._mixture_errors(BINARY_TRUST, cost, [point]) == [by_point[point]]
+        # the public one-point evaluation goes through the same helper
+        n_mal = worst_case_malicious_count(m_bar, n)
+        for g, p in coarse:
+            alone = worst_case_error_by_counts(BINARY_TRUST, TABLE_SENSORS, gamma_ts, 0.55,
+                                               1 - 0.55, n - n_mal, n_mal, g, p)
+            assert alone == by_point[g, p]
 
 
 class TestRunTwoStage:
