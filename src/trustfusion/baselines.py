@@ -18,7 +18,7 @@ from collections import deque
 import numpy as np
 
 from .models import _BLOCK, LegitimateSensorModel, ValidationError
-from .two_stage import accepts_h1, decide_hypothesis, fusion_weights
+from .two_stage import _fewest_accepted, decide_hypothesis
 
 __all__ = [
     "oracle_decide",
@@ -49,18 +49,15 @@ def reputation_decide(y, sensors: LegitimateSensorModel, gamma_ts: float,
     After each decision every robot, excluded or not, is marked by whether
     its report disagreed with it.
 
-    The fused rule is one ``(n+1)^2`` table of :func:`accepts_h1` over
-    (ones, trusted) counts. Report and mark rows are bitmasks with bit ``i``
-    for robot ``i``, and the mark counts live in bit planes: plane ``j`` is
-    the mask of robots whose count plus a common bias has bit ``j`` set. A
-    trial's marks go in with a ripple carry and the marks leaving the window
-    come out with a ripple borrow. A count never exceeds ``min(window, T)``,
-    so ``b = min(window, T).bit_length()`` planes hold it, and with the bias
-    ``2^b - ceil(threshold)`` the robots at or over the threshold are
-    exactly the mask of one more, top plane. The reports are read one
-    ``_BLOCK`` slice at a time: the slice is packed to ``ceil(n/8)`` bytes
-    per row, its bytes are taken once, and each row's bitmask is one
-    ``int.from_bytes`` over its byte span.
+    The fused rule decides for the event iff ``ones >= o[trusted]``. The mark
+    counts are one packed int with robot ``i``'s count in the ``f``-bit field
+    at bit ``i*f``, ``f`` the width of the smallest unsigned type holding
+    ``2*min(window, T)``. Each field starts at ``2^(f-1) - ceil(threshold)``
+    and a count never exceeds ``min(window, T)``, so no field spills into the
+    next and a field's top bit is set iff its count reached the threshold.
+    Cast to that type, a row of reports is already a packed int in this
+    layout, so a trial's marks go in with one add and the marks leaving the
+    window come out with one subtract.
     """
     if window < 1:
         raise ValidationError(f"history window {window!r} must be >= 1")
@@ -70,49 +67,35 @@ def reputation_decide(y, sensors: LegitimateSensorModel, gamma_ts: float,
         )
     y = np.asarray(y)
     trials, n = y.shape
-    w1, w0 = fusion_weights(sensors)
-    k = np.arange(n + 1)
-    # accepts[ones][trusted]
-    accepts = accepts_h1(k[:, None], k[None, :], gamma_ts, w1, w0).astype(int).tolist()
-    everyone = (1 << n) - 1
+    fewest = _fewest_accepted(n, gamma_ts, sensors)
     # Counts are whole, so count >= threshold iff count >= limit. A count
     # never exceeds top, and when the window outlasts the stream no count
     # reaches T before the last decision, so capping the limit at T changes
     # no decision.
     top = min(window, trials)
-    width = top.bit_length()
     limit = min(math.ceil(max(threshold, 0)), top)
-    # planes[j] is the mask of robots with bit j set in count + bias; the
-    # biased count lies in [bias, 2^width + top - limit], so it reaches the
-    # top plane exactly when count >= limit
-    bias = (1 << width) - limit
-    planes = [everyone if bias >> j & 1 else 0 for j in range(width + 1)]
+    field = np.min_scalar_type(2 * top).newbyteorder("<")
+    shift = 8 * field.itemsize - 1
+    everyone = int.from_bytes(np.ones(n, field).tobytes(), "little")
+    counts = everyone * ((1 << shift) - limit)
     history = deque()
     hypotheses = np.empty(trials, dtype=np.int8)
-    stride = (n + 7) // 8
+    stride = n * field.itemsize
     for start in range(0, trials, _BLOCK):
         rows = y[start:start + _BLOCK]
-        packed = np.packbits(rows, axis=1, bitorder="little").tobytes()
+        packed = rows.astype(field).tobytes()
         block = []
         offset = 0
         for _ in range(len(rows)):
             row = int.from_bytes(packed[offset:offset + stride], "little")
             offset += stride
-            included = everyone ^ planes[width]
-            decision = accepts[(row & included).bit_count()][included.bit_count()]
+            included = everyone ^ (counts >> shift & everyone)
+            decision = (row & included).bit_count() >= fewest[included.bit_count()]
             marks = row ^ everyone if decision else row
             if len(history) == window:
-                borrow, j = history.popleft(), 0
-                while borrow:
-                    planes[j] ^= borrow
-                    borrow &= planes[j]
-                    j += 1
+                counts -= history.popleft()
             history.append(marks)
-            carry, j = marks, 0
-            while carry:
-                planes[j] ^= carry
-                carry &= ~planes[j]
-                j += 1
+            counts += marks
             block.append(decision)
         hypotheses[start:start + len(block)] = block
     return hypotheses

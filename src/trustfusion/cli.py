@@ -165,8 +165,7 @@ def build_config(raw: dict) -> ExperimentConfig:
 
 def parse_config(path, seed=None, trials=None) -> ExperimentConfig:
     """Load, validate and build a config file; flags override file values."""
-    raw = load_raw_config(path, seed=seed, trials=trials)
-    return build_config(raw)
+    return build_config(load_raw_config(path, seed=seed, trials=trials))
 
 
 def load_raw_config(path, seed=None, trials=None) -> dict:
@@ -180,7 +179,11 @@ def load_raw_config(path, seed=None, trials=None) -> dict:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    raw = _validate_raw(raw)
+    return _override(_validate_raw(raw), seed, trials)
+
+
+def _override(raw: dict, seed, trials) -> dict:
+    """``raw`` with the ``--seed`` and ``--trials`` flags that were given."""
     if seed is not None:
         raw["seed"] = seed
     if trials is not None:
@@ -459,19 +462,19 @@ def main(argv=None) -> int:
             print("\n".join(lines))
             print("selftest:", "PASS" if ok else "FAIL")
             return 0 if ok else 1
+        out = Path(args.out)
+        existing = next((p for p in (out, *out.parents) if p.exists()), None)
+        if existing is not None and not existing.is_dir():
+            raise ConfigError(f"--out {out}: {existing} exists and is not a directory")
         if args.command == "reproduce":
-            raw = preset_config(args.preset)
-            if args.seed is not None:
-                raw["seed"] = args.seed
-            if args.trials is not None:
-                raw["trials"] = args.trials
-            raw = _validate_raw(raw)
-            return _execute(raw, Path(args.out), args.preset, "sweep" in raw)
+            raw = _override(_validate_raw(preset_config(args.preset)), args.seed,
+                            args.trials)
+            return _execute(raw, out, args.preset, "sweep" in raw)
         raw = load_raw_config(args.config, seed=args.seed, trials=args.trials)
         if args.command == "sweep" and "sweep" not in raw:
             raise ConfigError("sweep requested but the config has no 'sweep' key")
         stem = Path(args.config).stem
-        return _execute(raw, Path(args.out), stem, args.command == "sweep")
+        return _execute(raw, out, stem, args.command == "sweep")
     except (ConfigError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -111,6 +111,8 @@ class ExperimentConfig:
             raise ValidationError("no methods selected")
         for name in self.methods:
             parse_method(name)
+        if len(set(self.methods)) < len(self.methods):
+            raise ValidationError(f"duplicate methods in {list(self.methods)!r}")
         # the minimax scan certifies the rule that fuses at this threshold
         if self.two_stage.gamma_ts != self.scenario.gamma_ts:
             raise ValidationError(
@@ -122,6 +124,8 @@ class ExperimentConfig:
                 raise ValidationError("sweep list is empty")
             if any(not 0.0 <= f <= 1.0 for f in self.sweep):
                 raise ValidationError("sweep fractions must lie in [0, 1]")
+            if len(set(self.sweep)) < len(self.sweep):
+                raise ValidationError(f"duplicate sweep fractions in {list(self.sweep)!r}")
 
 
 @dataclass(frozen=True)

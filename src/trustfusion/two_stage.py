@@ -163,22 +163,18 @@ def conditional_errors(n_legit: int, n_malicious: int, gamma_ts: float,
     ``k_m`` malicious robots are trusted and every trusted malicious robot
     reports the wrong bit.
 
-    ``o[t]``, the fewest positive reports among ``t`` trusted robots that
-    ``accepts_h1`` accepts (``n+1`` if none), comes from the predicate itself
-    on one ``(n+1, n+1)`` array, so the tables agree with the simulated
-    decisions at every integer boundary. The predicate is nondecreasing in
-    the count, so a false alarm is at most ``t - o[t]`` correct 0s among the
-    ``k_l`` legitimate reports and a miss at most ``o[t] - 1`` correct 1s:
-    both lower binomial sums, never ``1 - cdf``. More than ``_MAX_ROBOTS``
-    robots raise :class:`ValidationError` before any table is built.
+    ``o[t]`` is :func:`_fewest_accepted`'s boundary of the predicate itself,
+    so the tables agree with the simulated decisions at every integer
+    boundary. The predicate is nondecreasing in the count, so a false alarm
+    is at most ``t - o[t]`` correct 0s among the ``k_l`` legitimate reports
+    and a miss at most ``o[t] - 1`` correct 1s: both lower binomial sums,
+    never ``1 - cdf``. More than ``_MAX_ROBOTS`` robots raise
+    :class:`ValidationError` before any table is built.
     """
     n = n_legit + n_malicious
     if n > _MAX_ROBOTS:
         raise ValidationError(f"robot count {n!r} must be at most {_MAX_ROBOTS}")
-    w1, w0 = fusion_weights(sensors)
-    counts = np.arange(n + 1)
-    accepts = accepts_h1(counts[:, None], counts[None, :], gamma_ts, w1, w0)
-    o = np.where(accepts.any(axis=0), accepts.argmax(axis=0), n + 1).tolist()
+    o = _fewest_accepted(n, gamma_ts, sensors)
     q_fa, q_md = 1.0 - sensors.p_fa_l, 1.0 - sensors.p_md_l
     fa = np.empty((n_legit + 1, n_malicious + 1))
     md = np.empty_like(fa)
@@ -187,6 +183,19 @@ def conditional_errors(n_legit: int, n_malicious: int, gamma_ts: float,
         fa[k_l] = _lower_sums(q_fa, k_l, [t - o[t] for t in ts])
         md[k_l] = _lower_sums(q_md, k_l, [o[t] - 1 for t in ts])
     return fa, md
+
+
+def _fewest_accepted(n: int, gamma_ts: float, sensors: LegitimateSensorModel) -> list:
+    """``o[t]``, the fewest positive reports (of ``0..n``) that
+    :func:`accepts_h1` accepts with ``t`` trusted robots, ``n+1`` if none.
+
+    Both sides are computed as the predicate computes them, and the left one
+    is nondecreasing in the count, so ``accepts_h1(ones, t)`` iff
+    ``ones >= o[t]``.
+    """
+    w1, w0 = fusion_weights(sensors)
+    counts = np.arange(n + 1)
+    return np.searchsorted(counts * (w0 + w1), gamma_ts + counts * w0).tolist()
 
 
 def _lower_sums(p: float, n: int, xs) -> list:

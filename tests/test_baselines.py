@@ -114,25 +114,31 @@ class TestReputation:
                                   SENSORS, 0.0, 5, 2.5) for _ in range(2)]
         assert np.array_equal(runs[0], runs[1])
 
-    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("seed", range(13))
     def test_equals_per_trial_rule(self, seed):
-        # random streams and sensors; windows 1-9 and 16, where a count rolls
-        # into a new bit plane, with negative, integer and fractional
-        # thresholds; a single robot, robot counts around machine-word
-        # widths, and windows longer than the stream
+        # random streams and sensors; windows 1-9 and 16, with negative,
+        # integer and fractional thresholds; a single robot, robot counts
+        # around machine-word widths, the 1000-robot cap, and windows longer
+        # than the stream. Windows 127-129, 255 and 256 run on a 300-row
+        # stream: at 128 the count field widens from 8 to 16 bits.
         rng = np.random.default_rng(seed)
-        n = {0: 1, 8: 63, 9: 64, 10: 65, 11: 200}.get(seed) or int(rng.integers(2, 14))
+        n = ({0: 1, 8: 63, 9: 64, 10: 65, 11: 200, 12: 1000}.get(seed)
+             or int(rng.integers(2, 14)))
         trials = int(rng.integers(1, 400))
         y = (rng.random((trials, n)) < rng.uniform(0.2, 0.8, n)).astype(np.int8)
         sensors = LegitimateSensorModel(float(rng.uniform(0.05, 0.45)),
                                         float(rng.uniform(0.05, 0.45)))
         gamma_ts = float(rng.normal(0.0, 1.0))
-        for window in (1, 2, 3, 4, 5, 6, 7, 8, 9, 16, trials + 3, 10**8):
-            for threshold in {-1.0, 0.0, 0.5, float(window // 2), window - 0.5}:
-                assert np.array_equal(
-                    reputation_decide(y, sensors, gamma_ts, window, threshold),
-                    per_trial_reputation_decide(y, sensors, gamma_ts, window, threshold),
-                ), (window, threshold)
+        longer = (rng.random((300, n)) < rng.uniform(0.2, 0.8, n)).astype(np.int8)
+        for stream, windows in ((y, (1, 2, 3, 4, 5, 6, 7, 8, 9, 16, trials + 3, 10**8)),
+                                (longer, (127, 128, 129, 255, 256))):
+            for window in windows:
+                for threshold in {-1.0, 0.0, 0.5, float(window // 2), window - 0.5}:
+                    assert np.array_equal(
+                        reputation_decide(stream, sensors, gamma_ts, window, threshold),
+                        per_trial_reputation_decide(stream, sensors, gamma_ts, window,
+                                                    threshold),
+                    ), (window, threshold)
 
     def test_long_stream_crosses_slices(self):
         rng = np.random.default_rng(11)

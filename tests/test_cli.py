@@ -251,6 +251,32 @@ class TestMain:
         assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert method in capsys.readouterr().err
 
+    @pytest.mark.parametrize("inside", [False, True])
+    def test_out_through_a_file_exits_2_before_work(self, tmp_path, capsys,
+                                                    monkeypatch, inside):
+        def no_config(*args):
+            raise AssertionError("config built for an unusable --out")
+
+        monkeypatch.setattr("trustfusion.cli.build_config", no_config)
+        path = write_config(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        out = taken / "sub" if inside else taken
+        for argv in (["run", "--config", str(path)], ["reproduce", "hardware-replica"]):
+            assert main(argv + ["--out", str(out)]) == 2
+            assert "not a directory" in capsys.readouterr().err
+        assert taken.read_text() == "keep"
+
+    @pytest.mark.parametrize("key, value", [
+        ("sweep", [0.5, 0.25, 0.5]),
+        ("methods", ["oracle", "baseline1", "oracle"]),
+    ])
+    def test_duplicate_entries_exit_2(self, tmp_path, capsys, key, value):
+        path = write_config(tmp_path, overrides={key: value})
+        command = "sweep" if key == "sweep" else "run"
+        assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "duplicate" in capsys.readouterr().err
+
     def test_sweep_requires_sweep_key(self, tmp_path, capsys):
         path = write_config(tmp_path)  # replica preset has no sweep key
         assert main(["sweep", "--config", str(path)]) == 2

@@ -1,6 +1,7 @@
 """Value-type invariants and derived-quantity checks."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,3 +181,14 @@ def test_log_prior_ratio():
     assert log_prior_ratio(0.6432, 0.3568) == pytest.approx(math.log(0.6432 / 0.3568))
     with pytest.raises(ValidationError):
         log_prior_ratio(1.0, 0.0)
+
+
+def test_readme_library_use_block_runs(capsys):
+    # the README's "Library use" block is the documented public API
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Library use\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    two_stage, glrt, estimate = capsys.readouterr().out.split()
+    assert two_stage in ("0", "1") and glrt in ("0", "1")
+    assert 0.0 <= float(estimate) <= 1.0

@@ -413,6 +413,18 @@ class TestSweep:
                           result.stats["baseline5"].error_rate)
             assert resilient < fragile
 
+    @pytest.mark.parametrize("field, value", [
+        ("sweep", (0.5, 0.0, 0.5)),
+        ("sweep", (0.0, -0.0)),
+        ("methods", ("oracle", "2sa", "oracle")),
+    ])
+    def test_duplicates_rejected(self, field, value):
+        # a repeated fraction or method would key two CSV rows alike
+        config = make_config(make_scenario((1,) * 4), ("oracle",), trials=5,
+                             sweep=(0.0, 1.0))
+        with pytest.raises(ValidationError, match="duplicate"):
+            replace(config, **{field: value})
+
     def test_sweep_requires_fractions(self):
         scenario = make_scenario((1,) * 4)
         with pytest.raises(ValidationError):
