@@ -76,6 +76,11 @@ _SCHEMA = {
 # peaks near 9 bytes per cell (2sa's tie draws are float64), about 1 GB.
 _MAX_CELLS = 10**8
 
+# Most trust symbols accepted: each of the 2sa scan's |ratio_set| * (1/delta_p + 1)
+# grid points sums over the alphabet, so the scan grows as |A|^2 / delta_p
+# (64 symbols of distinct ratios at delta_p = 1e-4 take about 6 s on 2 vCPUs).
+_MAX_SYMBOLS = 64
+
 _KINDS = {
     "int": (int, "an integer"),
     "float": ((int, float), "a number"),
@@ -126,6 +131,15 @@ def build_config(raw: dict) -> ExperimentConfig:
             f"key 'trials' times 'n' must be at most {_MAX_CELLS}, got "
             f"{raw['trials']!r} * {raw['n']!r}"
         )
+    if len(raw["trust_alphabet"]) > _MAX_SYMBOLS:
+        raise ConfigError(f"key 'trust_alphabet' must have at most {_MAX_SYMBOLS} symbols, "
+                          f"got {len(raw['trust_alphabet'])}")
+    sweep = raw.get("sweep")
+    # the CSV keys each sweep point by its _fmt label, so no two may print alike
+    labels = [_fmt(f) for f in sweep or ()]
+    if len(set(labels)) < len(labels):
+        raise ConfigError(f"key 'sweep' has duplicate fractions at the CSV's 6 significant "
+                          f"digits: {sweep!r}")
     try:
         trust = TrustModel(
             alphabet=tuple(raw["trust_alphabet"]),
@@ -150,7 +164,6 @@ def build_config(raw: dict) -> ExperimentConfig:
         scenario = place_malicious(base, raw["n_malicious"], raw["seed"])
         two_stage = TwoStageConfig(m_bar=raw["m_bar"], delta_p=raw["delta_p"],
                                    gamma_ts=base.gamma_ts)
-        sweep = raw.get("sweep")
         return ExperimentConfig(
             scenario=scenario,
             two_stage=two_stage,

@@ -1,4 +1,8 @@
-"""Numerically careful binomial primitives shared by every decision rule.
+"""Numerically careful binomial primitives.
+
+``log_pow`` serves the decision rules. ``binom_pmf`` and ``binom_cdf`` serve
+only the exact referees of ``tests/oracles.py`` and the benchmark's counters
+in ``bench/run.py``; no decision rule calls them.
 
 All likelihood products over the robot network are accumulated in natural-log
 space (a product of N probabilities near 0.01 underflows double precision long

@@ -10,12 +10,12 @@ legitimate sensors are better than coin flips.
 
 Under that attack the error depends only on how many legitimate and
 malicious robots are trusted. ``conditional_errors`` tabulates the false-alarm
-and missed-detection probability of every such count pair once, each as a
-lower binomial sum; a threshold pair only sets the binomial laws of the two
-counts. The minimax scan evaluates its whole grid in one pass, building the
-pmf rows of a block of points at a time and taking each point's error as one
-sum over its own fixed-length row of table cells, so a point's value does not
-depend on the grid around it.
+and missed-detection probability of every such count pair once, each a lower
+binomial tail from one Pascal recurrence; a threshold pair only sets the
+binomial laws of the two counts. The minimax scan evaluates its whole grid in
+one pass, building the pmf rows of a block of points at a time and taking each
+point's error as one sum over its own fixed-length row of table cells, so a
+point's value does not depend on the grid around it.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, compress
+from itertools import compress
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .models import (
     ValidationError,
     ratio_set,
 )
-from .stats import binom_cdf, binom_pmf  # noqa: F401  -- bench/run.py counts binom_cdf here
+from .stats import binom_cdf, binom_pmf  # noqa: F401  -- bench/run.py counts both here
 
 __all__ = [
     "TwoStageConfig",
@@ -167,21 +167,27 @@ def conditional_errors(n_legit: int, n_malicious: int, gamma_ts: float,
     so the tables agree with the simulated decisions at every integer
     boundary. The predicate is nondecreasing in the count, so a false alarm
     is at most ``t - o[t]`` correct 0s among the ``k_l`` legitimate reports
-    and a miss at most ``o[t] - 1`` correct 1s: both lower binomial sums,
-    never ``1 - cdf``. More than ``_MAX_ROBOTS`` robots raise
+    and a miss at most ``o[t] - 1`` correct 1s: both lower binomial tails,
+    never ``1 - cdf``, read from one Pascal recurrence over ``k_l`` that adds
+    only nonnegative terms (exactly 0.0 below ``x = 0``, 1.0 from ``x = k_l``).
+    Negative counts or more than ``_MAX_ROBOTS`` robots raise
     :class:`ValidationError` before any table is built.
     """
     n = n_legit + n_malicious
-    if n > _MAX_ROBOTS:
-        raise ValidationError(f"robot count {n!r} must be at most {_MAX_ROBOTS}")
-    o = _fewest_accepted(n, gamma_ts, sensors)
-    q_fa, q_md = 1.0 - sensors.p_fa_l, 1.0 - sensors.p_md_l
-    fa = np.empty((n_legit + 1, n_malicious + 1))
-    md = np.empty_like(fa)
-    for k_l in range(n_legit + 1):
-        ts = range(k_l, k_l + n_malicious + 1)
-        fa[k_l] = _lower_sums(q_fa, k_l, [t - o[t] for t in ts])
-        md[k_l] = _lower_sums(q_md, k_l, [o[t] - 1 for t in ts])
+    if min(n_legit, n_malicious) < 0 or n > _MAX_ROBOTS:
+        raise ValidationError(f"robot counts ({n_legit!r}, {n_malicious!r}) must be "
+                              f"nonnegative and sum to at most {_MAX_ROBOTS}")
+    # cdf[:, i, x + 1] = P(Binomial(i, q) <= x), for q of fa then md; x = -1 stays 0
+    q = np.array([[1.0 - sensors.p_fa_l], [1.0 - sensors.p_md_l]])
+    cdf = np.zeros((2, n_legit + 1, n_legit + 2))
+    cdf[:, 0, 1:] = 1.0
+    for i in range(1, n_legit + 1):
+        cdf[:, i, 1:] = (1.0 - q) * cdf[:, i - 1, 1:] + q * cdf[:, i - 1, :-1]
+    k_l = np.arange(n_legit + 1)[:, None]
+    t = k_l + np.arange(n_malicious + 1)
+    o = np.asarray(_fewest_accepted(n, gamma_ts, sensors))[t]
+    fa = cdf[0, k_l, np.clip(t - o + 1, 0, n_legit + 1)]
+    md = cdf[1, k_l, np.clip(o, 0, n_legit + 1)]
     return fa, md
 
 
@@ -196,13 +202,6 @@ def _fewest_accepted(n: int, gamma_ts: float, sensors: LegitimateSensorModel) ->
     w1, w0 = fusion_weights(sensors)
     counts = np.arange(n + 1)
     return np.searchsorted(counts * (w0 + w1), gamma_ts + counts * w0).tolist()
-
-
-def _lower_sums(p: float, n: int, xs) -> list:
-    """``binom_cdf(x, p, n)`` for every ``x`` in ``xs``, from one running sum
-    of the pmf: the same additions in the same order, so the same floats."""
-    partial = list(accumulate(binom_pmf(i, p, n) for i in range(n)))
-    return [0.0 if x < 0 else 1.0 if x >= n else min(partial[x], 1.0) for x in xs]
 
 
 def _pmf_rows(probs, coef) -> np.ndarray:

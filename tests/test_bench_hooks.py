@@ -85,4 +85,5 @@ def test_scan_pmf_calls_do_not_grow_with_the_tie_grid(bench, monkeypatch):
         bench.two_stage.optimize_thresholds(sc.trust, sc.sensors, two_stage_config, sc.n,
                                             sc.prior_h0, sc.prior_h1)
         counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+    # the conditional-error tables come from a recurrence, not per-cell pmfs
+    assert counts == [0, 0]

@@ -277,6 +277,33 @@ class TestMain:
         assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
         assert "duplicate" in capsys.readouterr().err
 
+    def test_sweep_fractions_that_print_alike_exit_2(self, tmp_path, capsys):
+        # distinct floats, but both are written to the CSV as 0.5
+        path = write_config(tmp_path, overrides={"sweep": [0.5, 0.25, 0.5000001]})
+        out = tmp_path / "results"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+        assert "duplicate" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_trust_alphabet_bounded_before_building(self, tmp_path, capsys, monkeypatch):
+        def config_for(size):
+            pmf = [(i + 1) / (size * (size + 1) / 2) for i in range(size)]
+            return {"trust_alphabet": list(range(size)), "trust_pmf_legit": pmf,
+                    "trust_pmf_malicious": pmf[::-1]}
+
+        raw = preset_config("hardware-replica")
+        raw.update(config_for(64), n=2, n_malicious=1, m_bar=0.5)
+        assert len(build_config(raw).scenario.trust.alphabet) == 64
+
+        def no_model(*args, **kwargs):
+            raise AssertionError("trust model built for an oversized alphabet")
+
+        monkeypatch.setattr("trustfusion.cli.TrustModel", no_model)
+        path = write_config(tmp_path, overrides=config_for(65))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "trust_alphabet" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_sweep_requires_sweep_key(self, tmp_path, capsys):
         path = write_config(tmp_path)  # replica preset has no sweep key
         assert main(["sweep", "--config", str(path)]) == 2

@@ -24,7 +24,6 @@ from trustfusion.models import (
     ValidationError,
 )
 from trustfusion.simulator import sample_trial, substream
-from trustfusion.stats import binom_cdf
 from trustfusion.two_stage import (
     ThresholdChoice,
     TwoStageConfig,
@@ -72,8 +71,9 @@ def random_trust(rng, size):
 def exact_binom_sum(n, p, successes):
     """Exact Binomial(n, p) mass of ``successes``, with ``p`` taken as the
     exact value of its double."""
-    p = Fraction(p)
-    return sum(math.comb(n, i) * p ** i * (1 - p) ** (n - i) for i in successes)
+    num, den = Fraction(p).as_integer_ratio()
+    return Fraction(sum(math.comb(n, i) * num ** i * (den - num) ** (n - i)
+                        for i in successes), den ** n)
 
 
 class TestFusionWeights:
@@ -164,30 +164,64 @@ class TestConditionalErrors:
         (30, 20, 4.0, 0.05, 0.4),
         (1, 6, 0.0, 0.2, 0.2),
         (6, 2, 1.0, 0.1, 0.3),
+        (60, 40, 0.0, 0.15, 0.15),
     ])
     def test_tables_equal_per_cell_binom_cdf(self, n_legit, n_malicious, gamma_ts,
                                              p_fa, p_md):
-        # the running-sum tables must be the per-cell lower sums bit for bit,
-        # also where the count leaves 0..k_l - 1 and binom_cdf's own rules apply
+        # every cell is its exact lower binomial tail to 2e-15 relative, and
+        # exactly 0.0 or 1.0 where the count leaves 0..k_l - 1
         sensors = LegitimateSensorModel(p_fa, p_md)
         fa, md = conditional_errors(n_legit, n_malicious, gamma_ts, sensors)
         w1, w0 = fusion_weights(sensors)
         n = n_legit + n_malicious
-        expected_fa = np.empty_like(fa)
-        expected_md = np.empty_like(md)
         counts = []
         for k_l in range(n_legit + 1):
             for k_m in range(n_malicious + 1):
                 t = k_l + k_m
                 o = next((c for c in range(n + 1)
                           if accepts_h1(c, t, gamma_ts, w1, w0)), n + 1)
-                expected_fa[k_l, k_m] = binom_cdf(t - o, 1 - p_fa, k_l)
-                expected_md[k_l, k_m] = binom_cdf(o - 1, 1 - p_md, k_l)
-                counts += [(t - o, k_l), (o - 1, k_l)]
-        assert np.array_equal(fa, expected_fa)
-        assert np.array_equal(md, expected_md)
+                for table, x, q in ((fa, t - o, 1 - p_fa), (md, o - 1, 1 - p_md)):
+                    value = table[k_l, k_m]
+                    if x < 0 or x >= k_l:
+                        assert value == (0.0 if x < 0 else 1.0), (k_l, k_m, x)
+                    else:
+                        exact = exact_binom_sum(k_l, q, range(x + 1))
+                        assert abs(Fraction(value) - exact) <= Fraction(2e-15) * exact, \
+                            (k_l, k_m, x)
+                    counts.append((x, k_l))
         assert any(x < 0 for x, _ in counts)
         assert any(x >= k_l > 0 for x, k_l in counts)
+
+    def test_tails_exact_at_the_robot_cap(self):
+        # deep lower tails (x <= 20, down to 1e-46) and mid-table cells of a
+        # table at _MAX_ROBOTS, against the exact rational
+        sensors = LegitimateSensorModel(0.05, 0.45)
+        n_legit, n_malicious, gamma_ts = 631, 369, -100.0
+        assert n_legit + n_malicious == _MAX_ROBOTS
+        fa, md = conditional_errors(n_legit, n_malicious, gamma_ts, sensors)
+        o = two_stage._fewest_accepted(_MAX_ROBOTS, gamma_ts, sensors)
+        checked = []
+        for k_l, k_m in [(200, 0), (190, 5), (150, 30), (631, 0), (631, 369),
+                         (300, 200), (450, 100)]:
+            t = k_l + k_m
+            for table, x, q in ((fa, t - o[t], 0.95), (md, o[t] - 1, 0.55)):
+                if 0 <= x < k_l:
+                    exact = exact_binom_sum(k_l, q, range(x + 1))
+                    assert abs(Fraction(table[k_l, k_m]) - exact) <= Fraction(2e-15) * exact, \
+                        (k_l, k_m, x)
+                    checked.append((x, table[k_l, k_m]))
+        assert sum(x <= 20 and value < 1e-35 for x, value in checked) >= 3
+        assert sum(x > 100 for x, _ in checked) >= 3
+        # x is nondecreasing in k_m along a row, and so is each tail
+        assert np.all(np.diff(fa, axis=1) >= 0) and np.all(np.diff(md, axis=1) >= 0)
+
+    @pytest.mark.parametrize("n_legit,n_malicious", [(-1, 3), (3, -2), (-1, 0)])
+    def test_negative_counts_rejected(self, n_legit, n_malicious):
+        with pytest.raises(ValidationError, match="nonnegative"):
+            conditional_errors(n_legit, n_malicious, 0.0, SYMMETRIC_SENSORS)
+        with pytest.raises(ValidationError, match="nonnegative"):
+            worst_case_error_by_counts(BINARY_TRUST, SYMMETRIC_SENSORS, 0.0, 0.5, 0.5,
+                                       n_legit, n_malicious, 1.0, 0.5)
 
 
 class TestDecideHypothesis:
