@@ -233,8 +233,11 @@ def brute_force_glrt(trial: Trial, trust: TrustModel, sensors: LegitimateSensorM
                      prior_h0: float, prior_h1: float) -> DecisionOutcome:
     """Exponential oracle: enumerate every labeling, solve the rate exactly.
 
-    Must agree with :func:`aglrt_decide` in decision and branch maxima; kept
-    for verification, hence the hard cap on network size.
+    Row ``m`` of a ``(2^n, n)`` mask array labels robot ``i`` legitimate iff
+    bit ``i`` of ``m`` is set; a row's value adds the robots' terms one robot
+    at a time, then its contradicting reports' term at their maximum-likelihood
+    rate, and the first strict maximum wins. Must agree with :func:`aglrt_decide`
+    in decision and branch maxima; kept for verification, hence the hard cap.
     """
     n = trial.n
     if n > BRUTE_FORCE_MAX_N:
@@ -242,26 +245,22 @@ def brute_force_glrt(trial: Trial, trust: TrustModel, sensors: LegitimateSensorM
             f"brute force refuses n={n} > {BRUTE_FORCE_MAX_N} (exponential cost)"
         )
     codes = _row_codes(trial, trust)
-    constants = _code_constants(trust, sensors)
+    legit = (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(bool)
+    malicious = n - legit.sum(axis=1)
+    # [kw, km]: kw contradicting reports among km malicious robots at rate kw / km
+    rate_term = np.zeros((n + 1, n + 1))
+    for km in range(1, n + 1):
+        for kw in range(km + 1):
+            rate_term[kw, km] = log_pow(kw / km, kw) + log_pow(1.0 - kw / km, km - kw)
     branch_best = []
-    for branch in (1, 0):
-        log_cl, log_pa0, wrong = ([column[c] for c in codes]
-                                  for column in constants[branch])
-        best = (NEG_INF, 0.0, None)
-        for mask in range(1 << n):
-            t = tuple((mask >> i) & 1 for i in range(n))
-            total = 0.0
-            n_mal = n_wrong = 0
-            for i in range(n):
-                if t[i] == 1:
-                    total += log_cl[i]
-                else:
-                    total += log_pa0[i]
-                    n_mal += 1
-                    n_wrong += 1 if wrong[i] else 0
-            rate = n_wrong / n_mal if n_mal else 0.0
-            total += log_pow(rate, n_wrong) + log_pow(1.0 - rate, n_mal - n_wrong)
-            if total > best[0]:
-                best = (total, rate, t)
-        branch_best.append(best)
+    for log_cl, log_pa0, wrong in reversed(_code_constants(trust, sensors)):  # H1, then H0
+        total = np.zeros(len(legit))
+        for i, c in enumerate(codes):
+            total += np.where(legit[:, i], log_cl[c], log_pa0[c])
+        contradicting = (~legit & np.array([wrong[c] for c in codes], dtype=bool)).sum(axis=1)
+        total += rate_term[contradicting, malicious]
+        best = int(np.argmax(total))
+        kw, km = int(contradicting[best]), int(malicious[best])
+        branch_best.append((float(total[best]), kw / km if km else 0.0,
+                            tuple(legit[best].astype(int).tolist())))
     return _outcome(*branch_best, prior_h0, prior_h1)

@@ -28,7 +28,13 @@ __all__ = [
 
 
 def oracle_decide(y, truth, sensors: LegitimateSensorModel, gamma_ts: float):
-    """Clairvoyant reference: fuses legitimate robots only (truth known)."""
+    """Clairvoyant reference: fuses legitimate robots only (truth known).
+
+    ``truth`` holds one 0/1 entry per robot; any other entry raises
+    :class:`ValidationError`.
+    """
+    if not np.isin(truth, (0, 1)).all():
+        raise ValidationError(f"truth vector entries must be 0 or 1, got {truth!r}")
     return decide_hypothesis(y, truth, sensors, gamma_ts)
 
 

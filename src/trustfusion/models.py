@@ -171,10 +171,7 @@ class Scenario:
         for name, p in (("prior_h0", self.prior_h0), ("prior_h1", self.prior_h1)):
             if not 0.0 < p < 1.0:
                 raise ValidationError(f"{name}={p!r} outside the open interval (0, 1)")
-        if abs(self.prior_h0 + self.prior_h1 - 1.0) > _PRIOR_SUM_TOL:
-            raise ValidationError(
-                f"priors sum to {self.prior_h0 + self.prior_h1!r}, expected 1"
-            )
+        _check_prior_sum(self.prior_h0, self.prior_h1)
 
     @property
     def n_malicious(self) -> int:
@@ -259,8 +256,19 @@ def ratio_set(model: TrustModel) -> list:
     return sorted(set(model.ratios))
 
 
+def _check_prior_sum(prior_h0: float, prior_h1: float) -> None:
+    """Refuse priors that do not sum to 1 within ``_PRIOR_SUM_TOL``."""
+    if not abs(prior_h0 + prior_h1 - 1.0) <= _PRIOR_SUM_TOL:
+        raise ValidationError(f"priors sum to {prior_h0 + prior_h1!r}, expected 1")
+
+
 def log_prior_ratio(prior_h0: float, prior_h1: float) -> float:
-    """ln(prior_h0 / prior_h1), the fusion decision threshold."""
+    """ln(prior_h0 / prior_h1), the fusion decision threshold.
+
+    Both priors must lie strictly inside (0, 1) and sum to 1 within
+    ``_PRIOR_SUM_TOL``, else :class:`ValidationError`.
+    """
     if not (0.0 < prior_h0 < 1.0 and 0.0 < prior_h1 < 1.0):
         raise ValidationError("priors must lie strictly inside (0, 1)")
+    _check_prior_sum(prior_h0, prior_h1)
     return math.log(prior_h0) - math.log(prior_h1)

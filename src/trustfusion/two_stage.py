@@ -29,6 +29,7 @@ import numpy as np
 
 from .models import (
     _MAX_ROBOTS,
+    _check_prior_sum,
     DecisionOutcome,
     LegitimateSensorModel,
     Trial,
@@ -146,10 +147,14 @@ def decide_hypothesis(y, t_hat, sensors: LegitimateSensorModel, gamma_ts: float)
 
     The robots are the trailing axis: one row of reports gives one 0/1
     decision, a ``(T, n)`` stack gives ``(T,)`` decisions, and ``t_hat`` may
-    be one row shared by every trial.
+    be one row shared by every trial. A ``t_hat`` whose trailing axis is not
+    as long as ``y``'s raises :class:`ValidationError` rather than broadcast.
     """
     w1, w0 = fusion_weights(sensors)
     trusted = np.asarray(t_hat) == 1
+    if trusted.shape[-1:] != np.shape(y)[-1:]:
+        raise ValidationError(f"trust vector of shape {trusted.shape} does not match "
+                              f"reports of shape {np.shape(y)}")
     ones = np.logical_and(y, trusted).sum(axis=-1)
     return accepts_h1(ones, trusted.sum(axis=-1), gamma_ts, w1, w0).astype(np.int8)
 
@@ -313,8 +318,10 @@ def optimize_thresholds(model: TrustModel, sensors: LegitimateSensorModel,
     Points are ordered by ascending ``gamma_t``, then ``p_t``, and the first
     strict minimum wins, so ties keep the first point;
     duplicates such as ``(r_{j-1}, 0)`` and ``(r_j, 1)`` have bit-identical
-    trust probabilities and resolve to the earlier one.
+    trust probabilities and resolve to the earlier one. Priors that do not
+    sum to 1 raise :class:`ValidationError` before the scan.
     """
+    _check_prior_sum(prior_h0, prior_h1)
     n_malicious = worst_case_malicious_count(config.m_bar, n)
     fa, md = conditional_errors(n - n_malicious, n_malicious, config.gamma_ts, sensors)
     cost = prior_h0 * fa + prior_h1 * md

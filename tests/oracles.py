@@ -50,44 +50,27 @@ def exact_two_stage_error(trust, sensors, gamma_ts: float,
                           p_fa_m: float, p_md_m: float) -> float:
     """Exact pipeline error by enumerating all (y, t_hat) pairs.
 
-    Valid for any adversary reporting rates, not just the worst case; cost
-    is 4^n so keep n small.
+    Valid for any adversary reporting rates, not just the worst case. The
+    ``(2^n, n)`` array of every 0/1 row serves as both the reports and the
+    trust decisions, and :func:`fused_decision`'s inequality is applied to
+    the ``(2^n, 2^n)`` matrix of trusted positive reports at once: 4^n
+    cells (32 KB per matrix at n = 6), so keep n small.
     """
-    n = len(truth)
     w1 = math.log((1 - sensors.p_md_l) / sensors.p_fa_l)
     w0 = math.log((1 - sensors.p_fa_l) / sensors.p_md_l)
-    trust_prob = [
-        per_robot_trust_prob(
-            trust.pmf_legit if t == 1 else trust.pmf_malicious,
-            trust.ratios, gamma_t, p_t)
-        for t in truth
-    ]
+    rows = np.array(list(product((0, 1), repeat=len(truth))), dtype=np.int64)
+    trust_prob = [per_robot_trust_prob(trust.pmf_legit if t == 1 else trust.pmf_malicious,
+                                       trust.ratios, gamma_t, p_t) for t in truth]
+    pt = np.prod(np.where(rows == 1, trust_prob, np.subtract(1, trust_prob)), axis=1)
+    # [y row, t_hat row]: whether the fused decision is 1
+    decides_1 = (rows @ rows.T) * (w0 + w1) >= gamma_ts + rows.sum(axis=1) * w0
     error = 0.0
-    for xi, prior in ((0, prior_h0), (1, prior_h1)):
-        p_one = [
-            (sensors.p_fa_l if xi == 0 else 1 - sensors.p_md_l) if t == 1
-            else (p_fa_m if xi == 0 else 1 - p_md_m)
-            for t in truth
-        ]
-        p_wrong_decision = 0.0
-        for y in product((0, 1), repeat=n):
-            py = 1.0
-            for yi, p1 in zip(y, p_one):
-                py *= p1 if yi == 1 else 1 - p1
-            if py == 0.0:
-                continue
-            for t_hat in product((0, 1), repeat=n):
-                pt = 1.0
-                for th, q in zip(t_hat, trust_prob):
-                    pt *= q if th == 1 else 1 - q
-                if pt == 0.0:
-                    continue
-                trusted = sum(t_hat)
-                ones = sum(yi for yi, th in zip(y, t_hat) if th == 1)
-                if fused_decision(ones, trusted, gamma_ts, w1, w0) != xi:
-                    p_wrong_decision += py * pt
-        error += prior * p_wrong_decision
-    return error
+    for xi, prior, p_l, p_m in ((0, prior_h0, sensors.p_fa_l, p_fa_m),
+                                (1, prior_h1, 1 - sensors.p_md_l, 1 - p_md_m)):
+        p_one = [p_l if t == 1 else p_m for t in truth]
+        py = np.prod(np.where(rows == 1, p_one, np.subtract(1, p_one)), axis=1)
+        error += prior * (py[:, None] * pt * (decides_1 != xi)).sum()
+    return float(error)
 
 
 def exact_fixed_trust_error(sensors, gamma_ts: float,
@@ -118,43 +101,27 @@ def glrt_branch_max_by_enumeration(trial, trust, sensors, branch: int,
 
     Cross-checks both the candidate-set scan and the closed-form inner rate
     maximizer; the grid makes it an independent (if slightly loose) route.
+    Rows of a ``(2^n, n)`` 0/1 array are the labelings (1 = legitimate) and
+    columns of the value matrix the grid rates; a rate that gives a labeled
+    report probability 0 scores -inf.
     """
-    n = trial.n
-    if branch == 1:
-        log_hit = math.log(1 - sensors.p_md_l)
-        log_miss = math.log(sensors.p_md_l)
-    else:
-        log_hit = math.log(1 - sensors.p_fa_l)
-        log_miss = math.log(sensors.p_fa_l)
-    best = -math.inf
+    p_miss = sensors.p_md_l if branch == 1 else sensors.p_fa_l
+    log_hit, log_miss = math.log(1 - p_miss), math.log(p_miss)
+    labels = np.array(list(product((0, 1), repeat=trial.n)), dtype=bool)
+    base = np.zeros(len(labels))
+    for i, (a_i, y_i) in enumerate(zip(trial.a, trial.y)):
+        j = trust.symbol_index(a_i)
+        legit = trust.log_pmf_legit[j] + (log_hit if y_i == branch else log_miss)
+        base += np.where(labels[:, i], legit, trust.log_pmf_malicious[j])
+    n_wrong = (~labels & (np.array(trial.y) != branch)).sum(axis=1)[:, None]
+    n_right = (~labels).sum(axis=1)[:, None] - n_wrong
     rates = [i / grid_steps for i in range(grid_steps + 1)]
-    for labels in product((0, 1), repeat=n):
-        base = 0.0
-        n_mal = n_wrong = 0
-        for t_i, a_i, y_i in zip(labels, trial.a, trial.y):
-            j = trust.symbol_index(a_i)
-            if t_i == 1:
-                base += trust.log_pmf_legit[j]
-                base += log_hit if y_i == branch else log_miss
-            else:
-                base += trust.log_pmf_malicious[j]
-                n_mal += 1
-                n_wrong += y_i != branch
-        if n_mal == 0:
-            best = max(best, base)
-            continue
-        for rate in rates:
-            if n_wrong > 0 and rate == 0.0:
-                continue
-            if n_mal - n_wrong > 0 and rate == 1.0:
-                continue
-            value = base
-            if n_wrong:
-                value += n_wrong * math.log(rate)
-            if n_mal - n_wrong:
-                value += (n_mal - n_wrong) * math.log(1 - rate)
-            best = max(best, value)
-    return best
+    log_p = np.array([math.log(r) if r > 0 else -math.inf for r in rates])
+    log_q = np.array([math.log(1 - r) if r < 1 else -math.inf for r in rates])
+    with np.errstate(invalid="ignore"):  # 0 * -inf: no such robots, no term
+        value = (base[:, None] + np.where(n_wrong > 0, n_wrong * log_p, 0.0)
+                 + np.where(n_right > 0, n_right * log_q, 0.0))
+    return float(value.max())
 
 
 @dataclass(frozen=True)
@@ -249,8 +216,8 @@ def candidate_scan_branch_max(trial, trust, sensors, branch: int) -> tuple:
     most n, in ascending order, and keeps the first strict maximum, so ties
     keep the smallest rate. This is the rate-by-rate search the GLRT used
     before its count-domain kernel; O(N^3), so keep n small. It sums the
-    robots one by one in row order, as ``aglrt_decide`` does, since exact
-    equality needs the same summation order.
+    robots one by one in row order, while ``aglrt_decide`` sums per code, so
+    the two branch values agree to rounding, not bit for bit.
     """
     best = (-math.inf, 0.0, None)
     for rate in candidate_set(trial.n):

@@ -206,6 +206,17 @@ class TestAglrtDecide:
             aglrt_hypotheses(np.ones((1, n), dtype=np.int8), np.ones((1, n), dtype=np.uint8),
                              BINARY_TRUST, SENSORS_15, 0.5, 0.5)
 
+    @pytest.mark.parametrize("priors", [(0.5, 0.9), (0.9, 0.9), (0.1, 0.1)])
+    def test_priors_not_summing_to_one_refused(self, priors):
+        # (0.5, 0.9) would decide against log(0.5/0.9) as if it were a prior ratio
+        trial = make_trial((1, 0, 1), (1, 1, 0))
+        for decide in (aglrt_decide, brute_force_glrt):
+            with pytest.raises(ValidationError, match="priors sum to"):
+                decide(trial, BINARY_TRUST, SENSORS_15, *priors)
+        with pytest.raises(ValidationError, match="priors sum to"):
+            aglrt_hypotheses(np.ones((2, 3), dtype=np.int8), np.ones((2, 3), dtype=np.uint8),
+                             BINARY_TRUST, SENSORS_15, *priors)
+
     def test_all_legit_labeling_flags_arbitrary_estimate(self):
         trial = make_trial((1, 1, 1), (1, 1, 1))
         out = aglrt_decide(trial, BINARY_TRUST, SENSORS_15, 0.5, 0.5)
@@ -316,6 +327,37 @@ class TestBruteForce:
         trial = make_trial((1, 1), (1, 1))
         out = brute_force_glrt(trial, BINARY_TRUST, SENSORS_15, 0.5, 0.5)
         assert out.adversary_estimate == 0.0
+
+    def test_agrees_with_aglrt_up_to_the_cap(self):
+        # n = 12..16, where no other test runs the oracle: random 2-4 symbol
+        # models, and models built to tie (mirrored binary trust, symmetric
+        # sensors, even priors); the same decision outside the tie band, the
+        # null hypothesis inside it, and branch values within 1e-9
+        rng = np.random.default_rng(1216)
+        instances = [random_instance(rng, n) for n in range(12, BRUTE_FORCE_MAX_N + 1)
+                     for _ in range(5)]
+        for n in range(12, BRUTE_FORCE_MAX_N + 1):
+            for index in range(5):
+                y, a = rng.integers(0, 2, n).tolist(), rng.integers(0, 2, n).tolist()
+                if index < 3 and n % 2 == 0:
+                    # each symbol as often with report 0 as with 1: the branches
+                    # mirror each other, an exact tie up to rounding
+                    y, a = [0, 1] * (n // 2), [s for s in a[:n // 2] for _ in (0, 1)]
+                order = rng.permutation(n).tolist()
+                trial = make_trial([y[i] for i in order], [a[i] for i in order])
+                instances.append((trial, BINARY_TRUST, SENSORS_15, 0.5, 0.5))
+        ties = 0
+        for trial, trust, sensors, p0, p1 in instances:
+            fast = aglrt_decide(trial, trust, sensors, p0, p1)
+            slow = brute_force_glrt(trial, trust, sensors, p0, p1)
+            for key in ("log_num", "log_den"):
+                assert abs(fast.diagnostics[key] - slow.diagnostics[key]) <= 1e-9
+            if _in_tie_band(slow.diagnostics, p0, p1):
+                ties += 1
+                assert fast.hypothesis == slow.hypothesis == 0
+            else:
+                assert fast.hypothesis == slow.hypothesis
+        assert ties > 0
 
 
 class TestEquivalentThresholdRule:

@@ -43,6 +43,21 @@ class TestOracle:
         assert oracle_decide([(1, 1, 0, 0, 0)], (0, 0, 1, 1, 1), SENSORS,
                              0.0).tolist() == [0]
 
+    @pytest.mark.parametrize("truth", [(1,), (1, 1, 1, 1), (1,) * 6, ()])
+    def test_mis_sized_truth_refused(self, truth):
+        # a one-element truth would broadcast over all five robots while
+        # counting one of them as trusted
+        y = np.array([(1, 0, 1, 1, 0)] * 6)
+        with pytest.raises(ValidationError, match="does not match"):
+            oracle_decide(y, truth, SENSORS, 0.0)
+
+    @pytest.mark.parametrize("truth", [(1, 2, 1, 1, 1), (1, 1, -1, 1, 1),
+                                       (1, 1, 1, 0.5, 1)])
+    def test_non_binary_truth_refused(self, truth):
+        # a 2 is neither trusted nor distrusted: it would silently drop robot 1
+        with pytest.raises(ValidationError, match="0 or 1"):
+            oracle_decide(np.ones((3, 5), dtype=np.int8), truth, SENSORS, 0.0)
+
 
 class TestOblivious:
     def test_all_positive_reports(self):

@@ -181,6 +181,11 @@ def test_log_prior_ratio():
     assert log_prior_ratio(0.6432, 0.3568) == pytest.approx(math.log(0.6432 / 0.3568))
     with pytest.raises(ValidationError):
         log_prior_ratio(1.0, 0.0)
+    # each prior inside (0, 1) is not enough: they must sum to 1
+    for priors in ((0.5, 0.9), (0.9, 0.9), (0.2, 0.2), (0.5, 0.5 + 1e-9)):
+        with pytest.raises(ValidationError, match="priors sum to"):
+            log_prior_ratio(*priors)
+    assert log_prior_ratio(0.3, 1 - 0.3) == math.log(0.3) - math.log(0.7)
 
 
 def test_readme_library_use_block_runs(capsys):

@@ -234,6 +234,14 @@ class TestDecideHypothesis:
     def test_all_zero_reports(self):
         assert decide_hypothesis((0, 0, 0), (1, 1, 1), SYMMETRIC_SENSORS, 0.0) == 0
 
+    @pytest.mark.parametrize("y, t_hat", [((1, 0, 1), (1,)), ((1, 0, 1), (1, 1)),
+                                          ([(1, 0, 1)] * 4, (1, 1, 1, 1)),
+                                          ([(1, 0, 1)] * 4, [(1, 1)] * 4),
+                                          ((1, 0, 1), 1)])
+    def test_mis_sized_trust_vector_refused(self, y, t_hat):
+        with pytest.raises(ValidationError, match="does not match"):
+            decide_hypothesis(y, t_hat, SYMMETRIC_SENSORS, 0.0)
+
 
 class TestClassifyTrust:
     # BINARY_TRUST's symbols are their own alphabet positions
@@ -485,6 +493,13 @@ class TestOptimizeThresholds:
         with pytest.raises(ValidationError, match="at most"):
             worst_case_error_by_counts(BINARY_TRUST, SYMMETRIC_SENSORS, 0.0, 0.5, 0.5,
                                        _MAX_ROBOTS, 1, 0.25, 0.5)
+
+    @pytest.mark.parametrize("priors", [(0.9, 0.9), (0.5, 0.4), (0.3, 0.7 + 1e-9)])
+    def test_priors_not_summing_to_one_refused(self, priors):
+        # (0.9, 0.9) would certify a "worst-case error" of 0.183
+        config = TwoStageConfig(m_bar=0.4, delta_p=0.1, gamma_ts=0.0)
+        with pytest.raises(ValidationError, match="priors sum to"):
+            optimize_thresholds(BINARY_TRUST, SYMMETRIC_SENSORS, config, 6, *priors)
 
     def test_choice_minimizes_count_referee(self):
         # the count-domain oracle, evaluated at every grid point, is never
