@@ -6,11 +6,15 @@ labeling and every malicious reporting rate. A robot enters only through
 its code ``2*j + y`` (score position ``j``, report ``y``), and robots with
 the same code carry the same weights, so a branch maximum depends only on
 the per-code count vector. At the optimal rate the best labeling takes whole
-codes, so each branch is searched over at most ``(|A|+1)^2`` labelings (9
-for binary trust) whatever the number of robots. A decision is the same for
-every order of the robots, and a log-likelihood ratio within a small tie
-band of the prior threshold goes to the null hypothesis. A stream of trials
-is decided by :func:`aglrt_hypotheses` once per distinct count vector.
+codes in the order of their gain from the malicious label, so each branch is
+searched over at most ``(|A|+1)^2`` labelings (9 for binary trust) whatever
+the number of robots. That order depends on the model ``(trust, sensors)``
+alone: each model's decision plan (per-code constants and ranked codes) is
+built once and memoised, and a call only counts its row and filters the
+plan by the codes present. A decision is the same for every order of the
+robots, and a log-likelihood ratio within a small tie band of the prior
+threshold goes to the null hypothesis. A stream of trials is decided by
+:func:`aglrt_hypotheses` once per distinct count vector.
 
 A full exponential enumeration over labelings is included as a verification
 oracle for small networks.
@@ -19,6 +23,7 @@ oracle for small networks.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,24 +62,36 @@ def candidate_set(n: int) -> tuple:
     return tuple(sorted({tn / td for td in range(1, n + 1) for tn in range(td + 1)}))
 
 
+@lru_cache(maxsize=128)
 def _code_constants(trust: TrustModel, sensors: LegitimateSensorModel) -> tuple:
-    """Per-code constants of both branches, indexed by code ``2*j + y``.
+    """The decision plan of one model: per-code constants of both branches,
+    indexed by code ``2*j + y``, and each branch's code groups.
 
-    Entry ``b`` is ``(log_cl, log_pa0, wrong)`` for branch ``b``:
+    Entry ``b`` is ``(log_cl, log_pa0, wrong, groups)`` for branch ``b``:
     ``log_cl[c]`` is the log joint weight of calling a robot with code ``c``
     legitimate, ``log_pa0[c]`` the log trust-score weight of calling it
     malicious, and ``wrong[c]`` marks a report that contradicts the branch
-    hypothesis (the exponent of the adversary rate).
+    hypothesis (the exponent of the adversary rate). ``groups`` holds, for
+    the contradicting codes and then the agreeing ones, ``(codes, ranked)``:
+    the group's codes in code order, and its codes of positive gain
+    ``log_pa0 - log_cl`` stable-sorted by ``log_cl - log_pa0``. The ranking
+    depends on the model alone, so it is built once per model.
     """
-    log_pa0 = [log_mal for log_mal in trust.log_pmf_malicious for _ in (0, 1)]
+    log_pa0 = tuple(log_mal for log_mal in trust.log_pmf_malicious for _ in (0, 1))
     tables = []
     for branch, p_miss in ((0, sensors.p_fa_l), (1, sensors.p_md_l)):
         log_hit = math.log1p(-p_miss)
         log_miss = math.log(p_miss)
         by_report = (log_hit, log_miss) if branch == 0 else (log_miss, log_hit)
-        log_cl = [log_legit + r for log_legit in trust.log_pmf_legit for r in by_report]
-        wrong = [y != branch for y in (0, 1)] * len(trust.alphabet)
-        tables.append((log_cl, log_pa0, wrong))
+        log_cl = tuple(log_legit + r for log_legit in trust.log_pmf_legit for r in by_report)
+        wrong = tuple(y != branch for y in (0, 1)) * len(trust.alphabet)
+        groups = []
+        for w in (True, False):
+            codes = tuple(c for c in range(len(wrong)) if wrong[c] == w)
+            ranked = tuple(sorted((c for c in codes if log_pa0[c] > log_cl[c]),
+                                  key=lambda c: log_cl[c] - log_pa0[c]))
+            groups.append((codes, ranked))
+        tables.append((log_cl, log_pa0, wrong, tuple(groups)))
     return tuple(tables)
 
 
@@ -88,9 +105,9 @@ def _xlogx(k: int) -> float:
     return k * math.log(k) if k else 0.0
 
 
-def _class_maxima(counts: list, constants: tuple) -> tuple:
+def _class_maxima(counts: list, plan: tuple) -> tuple:
     """Both branch maxima ``(value, rate, legit)`` of the per-code count
-    vector ``counts`` under the :func:`_code_constants` table ``constants``,
+    vector ``counts`` under the :func:`_code_constants` plan ``plan``,
     branch 0 first; ``legit[c]`` is 1 when the robots with code ``c`` are
     labeled legitimate, else 0.
 
@@ -101,7 +118,9 @@ def _class_maxima(counts: list, constants: tuple) -> tuple:
     maximum is among the labelings that take the top ``i`` contradicting
     and the top ``j`` agreeing codes of positive gain, each at its
     maximum-likelihood rate ``kw / km`` (``kw`` contradicting robots among
-    the ``km`` labeled malicious). A labeling's value is the sum of its
+    the ``km`` labeled malicious). The plan ranks each group once per model;
+    a stable sort restricted to the codes present gives the same order as
+    sorting those codes alone. A labeling's value is the sum of its
     contradicting codes' terms (``count * log_pa0`` or ``count * log_cl``)
     in code order, plus that of its agreeing codes', plus ``xlogx(kw) +
     xlogx(km - kw) - xlogx(km)``: it depends only on the counts. Among equal
@@ -112,23 +131,23 @@ def _class_maxima(counts: list, constants: tuple) -> tuple:
     n = sum(counts)
     if n > _MAX_ROBOTS:
         raise ValidationError(f"robot count {n!r} must be at most {_MAX_ROBOTS}")
-    present = [c for c, k in enumerate(counts) if k]
     maxima = []
-    for log_cl, log_pa0, wrong in constants:
+    for log_cl, log_pa0, _, plan_groups in plan:
         # per group, contradicting then agreeing: (terms, robots, xlogx of
         # the robots, codes) of labeling its top `level` codes malicious
         groups = []
-        for w in (True, False):
-            group = [c for c in present if wrong[c] == w]
-            ranked = sorted((c for c in group if log_pa0[c] > log_cl[c]),
-                            key=lambda c: log_cl[c] - log_pa0[c])
+        for codes, ranking in plan_groups:
+            group = [c for c in codes if counts[c]]
+            ranked = [c for c in ranking if counts[c]]
             levels = []
+            k = 0
             for level in range(len(ranked) + 1):
                 taken = ranked[:level]
+                if level:
+                    k += counts[taken[-1]]
                 total = 0.0
                 for c in group:
                     total += counts[c] * (log_pa0[c] if c in taken else log_cl[c])
-                k = sum(counts[c] for c in taken)
                 levels.append((total, k, _xlogx(k), taken))
             groups.append(levels)
         best, rate, malicious, taken = NEG_INF, 0.0, 0, []
@@ -191,11 +210,11 @@ def aglrt_decide(trial: Trial, trust: TrustModel, sensors: LegitimateSensorModel
     row.
     """
     codes = _row_codes(trial, trust)
-    constants = _code_constants(trust, sensors)
-    counts = [0] * len(constants[0][0])
+    plan = _code_constants(trust, sensors)
+    counts = [0] * len(plan[0][0])
     for c in codes:
         counts[c] += 1
-    den, num = _class_maxima(counts, constants)
+    den, num = _class_maxima(counts, plan)
     return _outcome(num, den, prior_h0, prior_h1, codes)
 
 
@@ -209,7 +228,7 @@ def aglrt_hypotheses(y, a_idx, trust: TrustModel, sensors: LegitimateSensorModel
     same counts: the hypotheses are one :func:`aglrt_decide` per row.
     Classes are keyed by the bytes of each ``_BLOCK`` slice's count rows.
     """
-    constants = _code_constants(trust, sensors)
+    plan = _code_constants(trust, sensors)
     threshold = log_prior_ratio(prior_h0, prior_h1)
     width = 2 * len(trust.alphabet)
     classes = {}  # count vector bytes -> hypothesis
@@ -223,7 +242,7 @@ def aglrt_hypotheses(y, a_idx, trust: TrustModel, sensors: LegitimateSensorModel
         vectors = counts.reshape(-1, width)
         for row, key in enumerate(keys):
             if key not in classes:
-                den, num = _class_maxima(vectors[row].tolist(), constants)
+                den, num = _class_maxima(vectors[row].tolist(), plan)
                 classes[key] = _decides_h1(num[0], den[0], threshold)
         hypotheses[rows] = [classes[key] for key in keys]
     return hypotheses
@@ -253,7 +272,7 @@ def brute_force_glrt(trial: Trial, trust: TrustModel, sensors: LegitimateSensorM
         for kw in range(km + 1):
             rate_term[kw, km] = log_pow(kw / km, kw) + log_pow(1.0 - kw / km, km - kw)
     branch_best = []
-    for log_cl, log_pa0, wrong in reversed(_code_constants(trust, sensors)):  # H1, then H0
+    for log_cl, log_pa0, wrong, _ in reversed(_code_constants(trust, sensors)):  # H1, then H0
         total = np.zeros(len(legit))
         for i, c in enumerate(codes):
             total += np.where(legit[:, i], log_cl[c], log_pa0[c])

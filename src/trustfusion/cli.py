@@ -12,7 +12,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -32,7 +32,7 @@ from .simulator import (
     run_experiment,
     sweep_malicious_fraction,
 )
-from .two_stage import TwoStageConfig
+from .two_stage import TwoStageConfig, optimize_thresholds
 
 __all__ = [
     "ConfigError",
@@ -258,7 +258,12 @@ def config_digest(raw: dict) -> str:
 
 @dataclass
 class RunManifest:
-    """Provenance record written next to the outputs."""
+    """Provenance record written next to the outputs.
+
+    ``points`` holds one record per sweep point (one for a run): its
+    malicious fraction, its trial-stream digest and, when ``2sa`` ran, the
+    thresholds the scan chose with the worst-case error they certify.
+    """
 
     config_digest: str
     seed: int
@@ -267,6 +272,7 @@ class RunManifest:
     finished: str
     outputs: list
     effective_config: dict
+    points: list = field(default_factory=list)
 
     def write(self, path: Path) -> None:
         path.write_text(json.dumps(self.__dict__, indent=2, sort_keys=True) + "\n")
@@ -401,6 +407,23 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+def _point_record(config, result, swept: bool) -> dict:
+    """The manifest record of one point; ``2sa``'s thresholds are read from
+    the memoised scan the point's run filled, so no scan runs again."""
+    record = {"malicious_fraction": result.malicious_fraction,
+              "stream_digest": result.stream_digest}
+    if "2sa" in result.stats:
+        sc = config.scenario
+        # a sweep point's scan bounds the malicious share by its own fraction
+        two_stage = (replace(config.two_stage, m_bar=result.malicious_fraction)
+                     if swept else config.two_stage)
+        choice = optimize_thresholds(sc.trust, sc.sensors, two_stage, sc.n,
+                                     sc.prior_h0, sc.prior_h1)
+        record["2sa"] = {"gamma_t": choice.gamma_t, "p_t": choice.p_t,
+                         "worst_case_pe": choice.worst_case_pe}
+    return record
+
+
 def _execute(raw: dict, out_dir: Path, stem: str, want_sweep: bool) -> int:
     config = build_config(raw)
     started = _now()
@@ -424,6 +447,7 @@ def _execute(raw: dict, out_dir: Path, stem: str, want_sweep: bool) -> int:
         finished=_now(),
         outputs=outputs,
         effective_config=raw,
+        points=[_point_record(config, result, want_sweep) for result in results],
     )
     manifest_path = out_dir / f"{stem}.manifest.json"
     manifest.write(manifest_path)

@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Optional
 
+import numpy as np
+
 __all__ = [
     "ValidationError",
     "TrustModel",
@@ -100,6 +102,12 @@ class TrustModel:
     def log_pmf_malicious(self) -> tuple:
         return tuple(math.log(q) for q in self.pmf_malicious)
 
+    @cached_property
+    def cumulative_pmfs(self) -> tuple:
+        """Read-only running sums ``(legit, malicious)`` of both pmfs, in
+        alphabet order: the sampler's score bins."""
+        return _read_only(np.cumsum(self.pmf_legit)), _read_only(np.cumsum(self.pmf_malicious))
+
     def symbol_index(self, a) -> int:
         try:
             return self._index[a]
@@ -172,6 +180,11 @@ class Scenario:
             if not 0.0 < p < 1.0:
                 raise ValidationError(f"{name}={p!r} outside the open interval (0, 1)")
         _check_prior_sum(self.prior_h0, self.prior_h1)
+
+    @cached_property
+    def legit_mask(self) -> np.ndarray:
+        """Read-only ``(n,)`` bool mask of the legitimate robots."""
+        return _read_only(np.array(self.truth, dtype=bool))
 
     @property
     def n_malicious(self) -> int:
@@ -254,6 +267,12 @@ def ratio_set(model: TrustModel) -> list:
     changes which symbols clear it.
     """
     return sorted(set(model.ratios))
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, made read-only so that a memoised copy cannot be changed."""
+    array.flags.writeable = False
+    return array
 
 
 def _check_prior_sum(prior_h0: float, prior_h1: float) -> None:

@@ -197,9 +197,8 @@ def sample_trials(scenario: Scenario, rng: np.random.Generator, count: int) -> t
     """
     n = scenario.n
     sensors, attack, trust = scenario.sensors, scenario.attack, scenario.trust
-    legit = np.array(scenario.truth, dtype=bool)
-    cum_legit = np.cumsum(trust.pmf_legit)
-    cum_malicious = np.cumsum(trust.pmf_malicious)
+    legit = scenario.legit_mask
+    cum_legit, cum_malicious = trust.cumulative_pmfs
     last = len(trust.alphabet) - 1
     xi = np.empty(count, dtype=np.int8)
     y = np.empty((count, n), dtype=np.int8)

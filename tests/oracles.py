@@ -16,9 +16,9 @@ from itertools import product
 
 import numpy as np
 
-from trustfusion.aglrt import aglrt_decide, candidate_set
-from trustfusion.models import DecisionOutcome, Trial, ValidationError
-from trustfusion.stats import binom_pmf
+from trustfusion.aglrt import _xlogx, aglrt_decide, candidate_set
+from trustfusion.models import _MAX_ROBOTS, DecisionOutcome, Trial, ValidationError
+from trustfusion.stats import NEG_INF, binom_pmf
 from trustfusion.two_stage import decide_hypothesis, trust_probabilities
 
 
@@ -247,6 +247,66 @@ def candidate_scan_decide(trial, trust, sensors,
             "adversary_estimate_arbitrary": 1.0 if arbitrary else 0.0,
         },
     )
+
+
+def sorting_class_maxima(counts: list, constants: tuple) -> tuple:
+    """Both branch maxima ``(value, rate, legit)`` of the per-code count
+    vector ``counts`` under the table ``constants``, branch 0 first;
+    ``legit[c]`` is 1 when the robots with code ``c`` are labeled legitimate,
+    else 0. ``constants`` holds each branch's ``(log_cl, log_pa0, wrong)``,
+    the first three fields of ``aglrt._code_constants``.
+
+    This is the count-domain A-GLRT core as it was before each model's code
+    ranking was memoised: it sorts the codes present on every call.
+
+    At a fixed rate ``p`` every robot of a code takes the same label: a code
+    whose report contradicts the branch is labeled malicious when its gain
+    ``log_pa0 - log_cl`` exceeds ``-log(p)``, one whose report agrees when
+    its gain exceeds ``-log(1 - p)``. Both bounds are nonnegative, so the
+    maximum is among the labelings that take the top ``i`` contradicting
+    and the top ``j`` agreeing codes of positive gain, each at its
+    maximum-likelihood rate ``kw / km`` (``kw`` contradicting robots among
+    the ``km`` labeled malicious). A labeling's value is the sum of its
+    contradicting codes' terms (``count * log_pa0`` or ``count * log_cl``)
+    in code order, plus that of its agreeing codes', plus ``xlogx(kw) +
+    xlogx(km - kw) - xlogx(km)``: it depends only on the counts. Among equal
+    values the smallest rate, then the fewest malicious robots, wins, so a
+    robot on a tie is labeled legitimate. More than ``_MAX_ROBOTS`` robots
+    raise :class:`ValidationError` before any search.
+    """
+    n = sum(counts)
+    if n > _MAX_ROBOTS:
+        raise ValidationError(f"robot count {n!r} must be at most {_MAX_ROBOTS}")
+    present = [c for c, k in enumerate(counts) if k]
+    maxima = []
+    for log_cl, log_pa0, wrong in constants:
+        # per group, contradicting then agreeing: (terms, robots, xlogx of
+        # the robots, codes) of labeling its top `level` codes malicious
+        groups = []
+        for w in (True, False):
+            group = [c for c in present if wrong[c] == w]
+            ranked = sorted((c for c in group if log_pa0[c] > log_cl[c]),
+                            key=lambda c: log_cl[c] - log_pa0[c])
+            levels = []
+            for level in range(len(ranked) + 1):
+                taken = ranked[:level]
+                total = 0.0
+                for c in group:
+                    total += counts[c] * (log_pa0[c] if c in taken else log_cl[c])
+                k = sum(counts[c] for c in taken)
+                levels.append((total, k, _xlogx(k), taken))
+            groups.append(levels)
+        best, rate, malicious, taken = NEG_INF, 0.0, 0, []
+        for value_w, kw, xlogx_w, taken_w in groups[0]:
+            for value_r, kr, xlogx_r, taken_r in groups[1]:
+                km = kw + kr
+                total = value_w + value_r + xlogx_w + xlogx_r - _xlogx(km)
+                if total >= best:
+                    p_m = kw / km if km else 0.0
+                    if total > best or (p_m, km) < (rate, malicious):
+                        best, rate, malicious, taken = total, p_m, km, taken_w + taken_r
+        maxima.append((best, rate, [int(c not in taken) for c in range(len(counts))]))
+    return tuple(maxima)
 
 
 # --- count-domain referees -------------------------------------------------

@@ -6,14 +6,18 @@ import numpy as np
 import pytest
 
 from oracles import (
+    _compositions,
     candidate_scan_branch_max,
     candidate_scan_decide,
     glrt_branch_max_by_enumeration,
     inner_max,
     mle_adversary_param,
+    sorting_class_maxima,
 )
 from trustfusion.aglrt import (
     BRUTE_FORCE_MAX_N,
+    _class_maxima,
+    _code_constants,
     aglrt_decide,
     aglrt_hypotheses,
     brute_force_glrt,
@@ -27,6 +31,7 @@ from trustfusion.models import (
     ValidationError,
     log_prior_ratio,
 )
+from trustfusion.cli import preset_config
 from trustfusion.selfcheck import oracle_equivalence, random_instance, random_trust_model
 from trustfusion.stats import log_pow
 
@@ -309,6 +314,94 @@ def _in_tie_band(diagnostics, prior_h0, prior_h1) -> bool:
     log_num, log_den = diagnostics["log_num"], diagnostics["log_den"]
     return (abs(log_num - log_den - log_prior_ratio(prior_h0, prior_h1))
             <= 1e-9 * (1.0 + abs(log_num) + abs(log_den)))
+
+
+def _maxima_bits(maxima) -> list:
+    return [(value.hex(), rate.hex(), list(legit)) for value, rate, legit in maxima]
+
+
+class TestModelPlan:
+    """The core on each model's memoised plan equals the referee that sorts
+    the codes present on every call, bit for bit: value, rate and labeling."""
+
+    @staticmethod
+    def _check(trust, sensors, vectors) -> int:
+        plan = _code_constants(trust, sensors)
+        constants = tuple(branch[:3] for branch in plan)
+        for counts in vectors:
+            assert (_maxima_bits(_class_maxima(counts, plan))
+                    == _maxima_bits(sorting_class_maxima(counts, constants))), counts
+        return len(vectors)
+
+    @pytest.mark.parametrize("preset, n, vectors", [
+        ("hardware-replica", 11, 364),
+        ("numerical-study", 10, 286),
+        ("numerical-study", 48, 20_825),  # the live-loop model
+    ])
+    def test_every_count_vector_of_the_preset_models(self, preset, n, vectors):
+        raw = preset_config(preset)
+        trust = TrustModel(alphabet=tuple(raw["trust_alphabet"]),
+                           pmf_legit=tuple(raw["trust_pmf_legit"]),
+                           pmf_malicious=tuple(raw["trust_pmf_malicious"]))
+        sensors = LegitimateSensorModel(raw["p_fa_l"], raw["p_md_l"])
+        every = [list(counts) for counts in _compositions(n, 2 * len(trust.alphabet))]
+        assert self._check(trust, sensors, every) == vectors
+
+    def test_random_models_with_tied_gains(self):
+        # 2-4 symbols; every other model gives two symbols the same masses,
+        # so their codes tie in gain and keep code order in the ranking
+        rng = np.random.default_rng(4096)
+        tied_models = 0
+        for index in range(240):
+            if index % 2:
+                trust = random_trust_model(rng)
+            else:
+                size = int(rng.integers(3, 5))
+                while True:
+                    legit, malicious = rng.random(size) + 0.05, rng.random(size) + 0.05
+                    legit[1], malicious[1] = legit[0], malicious[0]
+                    legit, malicious = legit / legit.sum(), malicious / malicious.sum()
+                    if np.max(np.abs(legit - malicious)) > 1e-3:
+                        break
+                trust = TrustModel(alphabet=tuple(range(size)),
+                                   pmf_legit=tuple(legit.tolist()),
+                                   pmf_malicious=tuple(malicious.tolist()))
+            if index % 3:
+                sensors = LegitimateSensorModel(*rng.uniform(0.01, 0.49, 2))
+            else:
+                sensors = SENSORS_15
+            plan = _code_constants(trust, sensors)
+            gains = [[log_cl[c] - log_pa0[c] for c in ranked]
+                     for log_cl, log_pa0, _, groups in plan for _, ranked in groups]
+            tied_models += any(len(set(g)) < len(g) for g in gains)
+            width = 2 * len(trust.alphabet)
+            vectors = [rng.multinomial(int(rng.integers(1, 61)),
+                                       rng.dirichlet(np.full(width, 0.5))).tolist()
+                       for _ in range(50)]
+            self._check(trust, sensors, vectors)
+        assert tied_models >= 100
+
+    def test_alternating_models_decide_as_fresh_calls(self):
+        # calls that alternate between two sensor models, and between two
+        # equal but distinct trust models (the second spells the alphabet in
+        # floats, and shares the first one's plans), against calls each made
+        # right after the memo is cleared
+        rng = np.random.default_rng(77)
+        twin = TrustModel(alphabet=(0.0, 1.0), pmf_legit=(0.2, 0.8),
+                          pmf_malicious=(0.8, 0.2))
+        assert twin == BINARY_TRUST and twin is not BINARY_TRUST
+        models = [(BINARY_TRUST, SENSORS_15), (BINARY_TRUST, LegitimateSensorModel(0.05, 0.3)),
+                  (twin, SENSORS_15), (twin, LegitimateSensorModel(0.3, 0.05))]
+        calls = [(make_trial(rng.integers(0, 2, n).tolist(), rng.integers(0, 2, n).tolist()),
+                  trust, sensors, 0.4, 0.6)
+                 for n in rng.integers(1, 49, 40) for trust, sensors in models]
+        fresh = []
+        for args in calls:
+            _code_constants.cache_clear()
+            fresh.append(aglrt_decide(*args))
+        _code_constants.cache_clear()
+        assert [aglrt_decide(*args) for args in calls] == fresh
+        assert _code_constants.cache_info().misses == 3
 
 
 class TestBruteForce:

@@ -70,6 +70,30 @@ def test_cleared_caches_make_set_up_redo_every_scan(bench, monkeypatch):
     assert len(calls) == 2 * scans
 
 
+def test_cleared_caches_make_aglrt_rebuild_its_plan(bench):
+    # the per-model decision plan is memoised; a cold rep must rebuild it,
+    # and its set-up builds new value objects, whose memoised sampler
+    # arrays are rebuilt with them
+    raw = bench.workload_raw("live-n48", 1)
+    plan = bench.aglrt._code_constants
+    configs = []
+    for _ in range(2):
+        bench.clear_program_caches()
+        assert plan.cache_info().currsize == 0
+        config = bench.set_up(raw)[0]
+        sc = config.scenario
+        trial = bench.simulator.sample_trial(sc, bench.simulator.substream(1, 0))
+        for _ in range(3):
+            bench.aglrt.aglrt_decide(trial, sc.trust, sc.sensors, sc.prior_h0, sc.prior_h1)
+        info = plan.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        configs.append(config)
+    first, second = (config.scenario for config in configs)
+    assert first == second and first is not second
+    assert first.legit_mask is not second.legit_mask
+    assert first.trust.cumulative_pmfs[0] is not second.trust.cumulative_pmfs[0]
+
+
 def test_scan_pmf_calls_do_not_grow_with_the_tie_grid(bench, monkeypatch):
     calls = []
     binom_pmf = bench.two_stage.binom_pmf

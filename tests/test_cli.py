@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from test_acceptance import PINNED_SHA256
 from trustfusion.cli import (
     ConfigError,
     build_config,
@@ -16,6 +17,7 @@ from trustfusion.cli import (
 )
 from trustfusion.models import _MAX_ROBOTS, ValidationError
 from trustfusion.simulator import run_experiment, sweep_malicious_fraction
+from trustfusion.two_stage import optimize_thresholds
 
 
 def write_config(tmp_path, overrides=None, drop=None):
@@ -319,6 +321,62 @@ class TestMain:
         manifest = json.loads((out / "numerical-study.manifest.json").read_text())
         assert manifest["seed"] == 7
         capsys.readouterr()
+
+    def test_manifest_records_each_point_from_the_memoised_scans(self, tmp_path, capsys):
+        out = tmp_path / "repro"
+        optimize_thresholds.cache_clear()
+        assert main(["reproduce", "numerical-study", "--out", str(out),
+                     "--trials", "20", "--seed", "7"]) == 0
+        capsys.readouterr()
+        manifest = json.loads((out / "numerical-study.manifest.json").read_text())
+        points = manifest["points"]
+        config = build_config(preset_config("numerical-study"))
+        assert [p["malicious_fraction"] for p in points] == list(config.sweep)
+        # one scan per point: the manifest's reads all hit the memo
+        info = optimize_thresholds.cache_info()
+        assert info.misses == len(points) and info.hits >= len(points)
+        for point in points:
+            assert set(point) == {"malicious_fraction", "stream_digest", "2sa"}
+            assert len(point["stream_digest"]) == 64
+            assert set(point["2sa"]) == {"gamma_t", "p_t", "worst_case_pe"}
+            assert 0.0 <= point["2sa"]["p_t"] <= 1.0
+            assert 0.0 <= point["2sa"]["worst_case_pe"] <= 1.0
+
+    def test_replica_manifest_digest_is_the_pinned_one(self, tmp_path, capsys):
+        out = tmp_path / "repro"
+        assert main(["reproduce", "hardware-replica", "--out", str(out)]) == 0
+        capsys.readouterr()
+        manifest = json.loads((out / "hardware-replica.manifest.json").read_text())
+        (point,) = manifest["points"]
+        assert point["stream_digest"] == PINNED_SHA256["hardware-replica stream_digest"]
+        assert point["malicious_fraction"] == 6 / 11
+        assert set(point["2sa"]) == {"gamma_t", "p_t", "worst_case_pe"}
+
+    def test_run_manifest_keeps_the_configured_m_bar(self, tmp_path, capsys):
+        # `run` on a config with a sweep key runs one point at the file's m_bar
+        raw = preset_config("numerical-study")
+        raw.update(trials=20, n_malicious=3, m_bar=0.3)
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps(raw))
+        optimize_thresholds.cache_clear()
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        (point,) = json.loads((tmp_path / "out" / "study.manifest.json").read_text())["points"]
+        config = build_config(raw)
+        sc = config.scenario
+        choice = optimize_thresholds(sc.trust, sc.sensors, config.two_stage, sc.n,
+                                     sc.prior_h0, sc.prior_h1)
+        assert point["2sa"] == {"gamma_t": choice.gamma_t, "p_t": choice.p_t,
+                                "worst_case_pe": choice.worst_case_pe}
+        assert optimize_thresholds.cache_info().misses == 1
+
+    def test_manifest_of_a_run_without_2sa_has_no_thresholds(self, tmp_path, capsys):
+        path = write_config(tmp_path, overrides={"methods": ["oracle", "aglrt"]})
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        manifest = json.loads((tmp_path / "out" / "config.manifest.json").read_text())
+        (point,) = manifest["points"]
+        assert set(point) == {"malicious_fraction", "stream_digest"}
 
     def test_selftest_passes(self, capsys):
         assert main(["selftest"]) == 0

@@ -122,7 +122,8 @@ class _NearOne:
 
 class TestSampleTrials:
     # scores from a three-symbol string alphabet, a float alphabet and, at
-    # near-one uniforms, a pmf whose running sum ends below 1 (last symbol)
+    # near-one uniforms, pmfs whose running sums end below 1 (the `last`
+    # clamp) and one ulp above it
     CASES = {
         "strings": (TrustModel(alphabet=("lo", "mid", "hi"), pmf_legit=(0.2, 0.3, 0.5),
                                pmf_malicious=(0.6, 0.3, 0.1)), (1, 0, 1, 1, 0), False),
@@ -131,10 +132,15 @@ class TestSampleTrials:
         "short-pmf": (TrustModel(alphabet=("a", "b", "c"),
                                  pmf_legit=(0.5, 0.3, 0.2 - 5e-10),
                                  pmf_malicious=(0.2, 0.3, 0.5 - 5e-10)), (1, 0, 0), True),
+        "one-ulp-over": (TrustModel(alphabet=("lo", "mid", "hi"),
+                                    pmf_legit=(0.2, 0.3, 0.5000000000000002),
+                                    pmf_malicious=(0.5, 0.3, 0.2000000000000001)),
+                         (1, 0, 1, 0), True),
     }
 
-    def _scenario(self, name):
-        trust, truth, _ = self.CASES[name]
+    @classmethod
+    def _scenario(cls, name):
+        trust, truth, _ = cls.CASES[name]
         return replace(make_scenario(truth, p_f=0.7, raw=0.2, prior_h1=0.4), trust=trust)
 
     def _rng(self, name, seed):
@@ -169,6 +175,50 @@ class TestSampleTrials:
         assert rows == expected
         # the two generators stay aligned
         assert rng.random() == ref_rng.random()
+
+
+class TestSamplerMemo:
+    """The sampler's memoised arrays leave every draw as it was."""
+
+    @staticmethod
+    def _scenario(name):
+        if name == "one-ulp-over":
+            return TestSampleTrials._scenario(name)
+        if name == "replica":
+            raw = preset_config("hardware-replica")
+        else:
+            raw = preset_config("numerical-study")
+            del raw["sweep"]
+            raw.update(n=48, n_malicious=29, m_bar=0.6)
+        return build_config(raw).scenario
+
+    @pytest.mark.parametrize("name", ["replica", "live-n48"])
+    def test_one_row_draws_equal_block_draws(self, name):
+        scenario = self._scenario(name)
+        symbols = scenario.trust.alphabet
+        xi, y, a_idx = sample_trials(scenario, substream(6, 0), 1)
+        trial = sample_trial(scenario, substream(6, 0))
+        assert (trial.xi, trial.y, trial.a) == (
+            int(xi[0]), tuple(y[0].tolist()), tuple(symbols[j] for j in a_idx[0].tolist()))
+        one_rows, block_rng = substream(8, 0), substream(8, 0)
+        stacked = [sample_trials(scenario, one_rows, 1) for _ in range(50)]
+        block = sample_trials(scenario, block_rng, 50)
+        for part, rows in zip(block, zip(*stacked)):
+            assert np.array_equal(part, np.concatenate(rows))
+        assert one_rows.random() == block_rng.random()
+
+    @pytest.mark.parametrize("name", ["replica", "live-n48", "one-ulp-over"])
+    def test_memoised_arrays_are_read_only(self, name):
+        scenario = self._scenario(name)
+        cum_legit, cum_malicious = scenario.trust.cumulative_pmfs
+        assert np.array_equal(cum_legit, np.cumsum(scenario.trust.pmf_legit))
+        assert np.array_equal(cum_malicious, np.cumsum(scenario.trust.pmf_malicious))
+        assert scenario.legit_mask.tolist() == [bool(t) for t in scenario.truth]
+        if name == "one-ulp-over":
+            assert cum_legit[-1] == cum_malicious[-1] == 1.0 + 2.0**-52
+        for array in (cum_legit, cum_malicious, scenario.legit_mask):
+            with pytest.raises(ValueError):
+                array[0] = 0
 
 
 class TestStreamDigest:
