@@ -21,7 +21,6 @@ from .models import (
     effective_malicious_probs,
     log_prior_ratio,
     ratio_set,
-    trust_lr,
 )
 from .two_stage import (
     ThresholdChoice,
@@ -58,7 +57,6 @@ __all__ = [
     "effective_malicious_probs",
     "log_prior_ratio",
     "ratio_set",
-    "trust_lr",
     "ThresholdChoice",
     "TwoStageConfig",
     "classify_trust",

@@ -12,7 +12,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -32,7 +32,7 @@ from .simulator import (
     run_experiment,
     sweep_malicious_fraction,
 )
-from .two_stage import TwoStageConfig, optimize_thresholds
+from .two_stage import TwoStageConfig
 
 __all__ = [
     "ConfigError",
@@ -153,7 +153,6 @@ def build_config(raw: dict) -> ExperimentConfig:
             p_f=raw["attack_p_f"],
         )
         base = Scenario(
-            n=raw["n"],
             truth=(1,) * raw["n"],
             prior_h0=raw["prior_h0"],
             prior_h1=raw["prior_h1"],
@@ -162,11 +161,9 @@ def build_config(raw: dict) -> ExperimentConfig:
             trust=trust,
         )
         scenario = place_malicious(base, raw["n_malicious"], raw["seed"])
-        two_stage = TwoStageConfig(m_bar=raw["m_bar"], delta_p=raw["delta_p"],
-                                   gamma_ts=base.gamma_ts)
         return ExperimentConfig(
             scenario=scenario,
-            two_stage=two_stage,
+            two_stage=TwoStageConfig(m_bar=raw["m_bar"], delta_p=raw["delta_p"]),
             trials=raw["trials"],
             seed=raw["seed"],
             methods=tuple(raw["methods"]),
@@ -262,7 +259,8 @@ class RunManifest:
 
     ``points`` holds one record per sweep point (one for a run): its
     malicious fraction, its trial-stream digest and, when ``2sa`` ran, the
-    thresholds the scan chose with the worst-case error they certify.
+    thresholds it decided the point with (the result's ``thresholds``) and
+    the worst-case error they certify.
     """
 
     config_digest: str
@@ -407,18 +405,13 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _point_record(config, result, swept: bool) -> dict:
-    """The manifest record of one point; ``2sa``'s thresholds are read from
-    the memoised scan the point's run filled, so no scan runs again."""
+def _point_record(result) -> dict:
+    """The manifest record of one point, with the thresholds ``2sa`` decided
+    it with when ``2sa`` ran."""
     record = {"malicious_fraction": result.malicious_fraction,
               "stream_digest": result.stream_digest}
-    if "2sa" in result.stats:
-        sc = config.scenario
-        # a sweep point's scan bounds the malicious share by its own fraction
-        two_stage = (replace(config.two_stage, m_bar=result.malicious_fraction)
-                     if swept else config.two_stage)
-        choice = optimize_thresholds(sc.trust, sc.sensors, two_stage, sc.n,
-                                     sc.prior_h0, sc.prior_h1)
+    choice = result.thresholds
+    if choice is not None:
         record["2sa"] = {"gamma_t": choice.gamma_t, "p_t": choice.p_t,
                          "worst_case_pe": choice.worst_case_pe}
     return record
@@ -447,7 +440,7 @@ def _execute(raw: dict, out_dir: Path, stem: str, want_sweep: bool) -> int:
         finished=_now(),
         outputs=outputs,
         effective_config=raw,
-        points=[_point_record(config, result, want_sweep) for result in results],
+        points=[_point_record(result) for result in results],
     )
     manifest_path = out_dir / f"{stem}.manifest.json"
     manifest.write(manifest_path)

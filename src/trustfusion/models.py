@@ -22,7 +22,6 @@ __all__ = [
     "Trial",
     "DecisionOutcome",
     "effective_malicious_probs",
-    "trust_lr",
     "ratio_set",
     "log_prior_ratio",
 ]
@@ -159,9 +158,9 @@ class MaliciousStrategy:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One fully specified network: size, ground truth, priors and models."""
+    """One fully specified network: ground truth (1 legitimate, 0 malicious;
+    its length is the robot count ``n``), priors and models."""
 
-    n: int
     truth: tuple
     prior_h0: float
     prior_h1: float
@@ -170,10 +169,8 @@ class Scenario:
     trust: TrustModel
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValidationError(f"robot count {self.n!r} must be >= 1")
-        if len(self.truth) != self.n:
-            raise ValidationError(f"truth vector length {len(self.truth)} != n={self.n}")
+        if not self.truth:
+            raise ValidationError("truth vector is empty")
         if any(t not in (0, 1) for t in self.truth):
             raise ValidationError("truth vector entries must be 0 or 1")
         for name, p in (("prior_h0", self.prior_h0), ("prior_h1", self.prior_h1)):
@@ -185,6 +182,10 @@ class Scenario:
     def legit_mask(self) -> np.ndarray:
         """Read-only ``(n,)`` bool mask of the legitimate robots."""
         return _read_only(np.array(self.truth, dtype=bool))
+
+    @property
+    def n(self) -> int:
+        return len(self.truth)
 
     @property
     def n_malicious(self) -> int:
@@ -252,11 +253,6 @@ def effective_malicious_probs(strategy: MaliciousStrategy) -> tuple:
     p_fa = (1.0 - pf) * strategy.p_fa_m_raw + pf * (1.0 - strategy.p_fa_m_raw)
     p_md = (1.0 - pf) * strategy.p_md_m_raw + pf * (1.0 - strategy.p_md_m_raw)
     return p_fa, p_md
-
-
-def trust_lr(model: TrustModel, a) -> float:
-    """Likelihood ratio p(a | legit) / p(a | malicious) for one score symbol."""
-    return model.ratios[model.symbol_index(a)]
 
 
 def ratio_set(model: TrustModel) -> list:

@@ -116,7 +116,6 @@ def _random_worst_case_setup(rng: np.random.Generator) -> tuple:
     n_mal = worst_case_malicious_count(m_bar, n)
     truth = tuple([0] * n_mal + [1] * (n - n_mal))
     scenario = Scenario(
-        n=n,
         truth=truth,
         prior_h0=prior_h0,
         prior_h1=1.0 - prior_h0,
@@ -124,8 +123,7 @@ def _random_worst_case_setup(rng: np.random.Generator) -> tuple:
         attack=MaliciousStrategy(p_fa_m_raw=0.0, p_md_m_raw=0.0, p_f=1.0),
         trust=trust,
     )
-    config = TwoStageConfig(m_bar=m_bar, delta_p=0.05, gamma_ts=scenario.gamma_ts)
-    return scenario, config
+    return scenario, TwoStageConfig(m_bar=m_bar, delta_p=0.05)
 
 
 def closed_form_vs_monte_carlo(n_configs: int = 5, trials: int = 100_000,
@@ -150,7 +148,7 @@ def closed_form_vs_monte_carlo(n_configs: int = 5, trials: int = 100_000,
         xi, y, a_idx = sample_trials(scenario, substream(seed + idx, 0), trials)
         t_hat = classify_trust(scenario.trust, thresholds.gamma_t, thresholds.p_t,
                                a_idx, substream(seed + idx, 1))
-        hypotheses = decide_hypothesis(y, t_hat, scenario.sensors, config.gamma_ts)
+        hypotheses = decide_hypothesis(y, t_hat, scenario.sensors, scenario.gamma_ts)
         empirical = np.count_nonzero(hypotheses != xi) / trials
         sigma = math.sqrt(max(predicted * (1.0 - predicted), 1e-12) / trials)
         gap = abs(empirical - predicted)

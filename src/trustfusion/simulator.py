@@ -24,6 +24,7 @@ from .aglrt import (
 from .baselines import oblivious_decide, oracle_decide, reputation_decide
 from .models import _BLOCK, Scenario, Trial, ValidationError
 from .two_stage import (
+    ThresholdChoice,
     TwoStageConfig,
     classify_trust,
     decide_hypothesis,
@@ -113,12 +114,6 @@ class ExperimentConfig:
             parse_method(name)
         if len(set(self.methods)) < len(self.methods):
             raise ValidationError(f"duplicate methods in {list(self.methods)!r}")
-        # the minimax scan certifies the rule that fuses at this threshold
-        if self.two_stage.gamma_ts != self.scenario.gamma_ts:
-            raise ValidationError(
-                f"two_stage.gamma_ts {self.two_stage.gamma_ts!r} differs from the "
-                f"scenario's log prior ratio {self.scenario.gamma_ts!r}"
-            )
         if self.sweep is not None:
             if len(self.sweep) == 0:
                 raise ValidationError("sweep list is empty")
@@ -133,10 +128,10 @@ class MethodStats:
     """Aggregated per-method counts and rates for one experiment.
 
     ``mean_latency_s`` is the method's wall time over the whole point (one
-    batch call; for ``2sa`` it includes the threshold optimization) divided
-    by the trial count. It is informational and excluded from equality: two
-    runs with the same seed produce identical counts but not identical
-    timings.
+    batch call; for ``2sa`` it includes the threshold scan whose choice is
+    the result's ``thresholds``) divided by the trial count. It is
+    informational and excluded from equality: two runs with the same seed
+    produce identical counts but not identical timings.
     """
 
     trials: int
@@ -162,13 +157,15 @@ class MethodStats:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    """Per-method statistics for one sweep point (or standalone run)."""
+    """Per-method statistics for one sweep point (or standalone run), and the
+    thresholds ``2sa`` decided it with (``None`` when ``2sa`` did not run)."""
 
     malicious_fraction: float
     seed: int
     trials: int
     stats: dict
     stream_digest: str
+    thresholds: Optional[ThresholdChoice]
 
 
 def substream(seed: int, stream: int, index: int = 0) -> np.random.Generator:
@@ -271,8 +268,10 @@ def _stream_digest(scenario: Scenario, stream: tuple) -> str:
     return h.hexdigest()
 
 
-def _decide(name: str, config: ExperimentConfig, point_index: int, stream: tuple):
-    """One method's hypotheses over a point's whole ``(xi, y, a_idx)`` stream.
+def _decide(name: str, config: ExperimentConfig, point_index: int,
+            stream: tuple) -> tuple:
+    """One method's hypotheses over a point's whole ``(xi, y, a_idx)`` stream,
+    and the thresholds ``2sa`` chose (``None`` for every other method).
 
     The two-stage tie-breaks draw from their own substream, so the trial
     stream itself is never touched.
@@ -289,16 +288,16 @@ def _decide(name: str, config: ExperimentConfig, point_index: int, stream: tuple
         tie_rng = substream(config.seed, _STREAM_TIES, point_index)
         t_hat = classify_trust(scenario.trust, thresholds.gamma_t, thresholds.p_t,
                                a_idx, tie_rng)
-        return decide_hypothesis(y, t_hat, scenario.sensors, gamma_ts)
+        return decide_hypothesis(y, t_hat, scenario.sensors, gamma_ts), thresholds
     if kind == "aglrt":
         return aglrt_hypotheses(y, a_idx, scenario.trust, scenario.sensors,
-                                scenario.prior_h0, scenario.prior_h1)
+                                scenario.prior_h0, scenario.prior_h1), None
     if kind == "oracle":
-        return oracle_decide(y, scenario.truth, scenario.sensors, gamma_ts)
+        return oracle_decide(y, scenario.truth, scenario.sensors, gamma_ts), None
     if kind == "oblivious":
-        return oblivious_decide(y, scenario.sensors, gamma_ts)
+        return oblivious_decide(y, scenario.sensors, gamma_ts), None
     window, threshold = params
-    return reputation_decide(y, scenario.sensors, gamma_ts, window, threshold)
+    return reputation_decide(y, scenario.sensors, gamma_ts, window, threshold), None
 
 
 def run_experiment(config: ExperimentConfig, point_index: int = 0) -> ExperimentResult:
@@ -315,10 +314,14 @@ def run_experiment(config: ExperimentConfig, point_index: int = 0) -> Experiment
     h1 = xi == 1
     n_h1 = int(np.count_nonzero(h1))
     stats = {}
+    thresholds = None
     for name in config.methods:
         start = time.perf_counter()
-        wrong = _decide(name, config, point_index, stream) != xi
+        hypotheses, choice = _decide(name, config, point_index, stream)
+        wrong = hypotheses != xi
         elapsed = time.perf_counter() - start
+        if choice is not None:
+            thresholds = choice
         fa_count = int(np.count_nonzero(wrong & ~h1))
         md_count = int(np.count_nonzero(wrong & h1))
         stats[name] = MethodStats(
@@ -332,6 +335,7 @@ def run_experiment(config: ExperimentConfig, point_index: int = 0) -> Experiment
         trials=config.trials,
         stats=stats,
         stream_digest=_stream_digest(scenario, stream),
+        thresholds=thresholds,
     )
 
 

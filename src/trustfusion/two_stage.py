@@ -29,12 +29,12 @@ import numpy as np
 
 from .models import (
     _MAX_ROBOTS,
-    _check_prior_sum,
     DecisionOutcome,
     LegitimateSensorModel,
     Trial,
     TrustModel,
     ValidationError,
+    log_prior_ratio,
     ratio_set,
 )
 from .stats import binom_cdf, binom_pmf  # noqa: F401  -- bench/run.py counts both here
@@ -70,14 +70,14 @@ _BLOCK_CELLS = 1 << 13
 class TwoStageConfig:
     """Offline parameters of the two-stage pipeline.
 
-    ``m_bar`` is the assumed upper bound on the malicious proportion,
-    ``delta_p`` the step of the tie-break probability grid, and ``gamma_ts``
-    the fusion threshold (log prior ratio).
+    ``m_bar`` is the assumed upper bound on the malicious proportion and
+    ``delta_p`` the step of the tie-break probability grid. The fusion
+    threshold is not a parameter: it is the log prior ratio of the priors
+    the scan is given.
     """
 
     m_bar: float
     delta_p: float
-    gamma_ts: float
 
     def __post_init__(self) -> None:
         # m_bar == 1 is allowed so sweeps can hand the pipeline an
@@ -266,16 +266,18 @@ def worst_case_malicious_count(m_bar: float, n: int) -> int:
 
 
 def worst_case_error_by_counts(model: TrustModel, sensors: LegitimateSensorModel,
-                               gamma_ts: float, prior_h0: float, prior_h1: float,
+                               prior_h0: float, prior_h1: float,
                                n_legit: int, n_malicious: int,
                                gamma_t: float, p_t: float) -> float:
     """Exact error probability under the worst-case attack for fixed counts.
 
     Marginalizes over how many legitimate and malicious robots pass the
     trust stage (both binomial), with every trusted malicious robot
-    reporting the wrong bit deterministically. The value is the one
-    :func:`optimize_thresholds` computes for the same point, bit for bit.
+    reporting the wrong bit deterministically and the trusted reports fused
+    at the log prior ratio. The value is the one :func:`optimize_thresholds`
+    computes for the same point, bit for bit.
     """
+    gamma_ts = log_prior_ratio(prior_h0, prior_h1)
     fa, md = conditional_errors(n_legit, n_malicious, gamma_ts, sensors)
     return _mixture_errors(model, prior_h0 * fa + prior_h1 * md, [(gamma_t, p_t)])[0]
 
@@ -286,7 +288,7 @@ def worst_case_error(model: TrustModel, sensors: LegitimateSensorModel,
                      prior_h0: float, prior_h1: float) -> float:
     """Worst-case error of the pipeline at the given thresholds."""
     n_malicious = worst_case_malicious_count(config.m_bar, n)
-    return worst_case_error_by_counts(model, sensors, config.gamma_ts, prior_h0, prior_h1,
+    return worst_case_error_by_counts(model, sensors, prior_h0, prior_h1,
                                       n - n_malicious, n_malicious, gamma_t, p_t)
 
 
@@ -310,7 +312,8 @@ def optimize_thresholds(model: TrustModel, sensors: LegitimateSensorModel,
 
     The trust threshold only needs to range over the per-symbol likelihood
     ratios; the tie probability ranges over the ``delta_p`` grid. The cost
-    table ``prior_h0*fa + prior_h1*md`` is built once per call. Each point's
+    table ``prior_h0*fa + prior_h1*md`` is built once per call, for the rule
+    that fuses at the log prior ratio. Each point's
     error is one sum over its own fixed-length row of cells, with no BLAS
     contraction, so it is bit-identical to ``worst_case_error_by_counts``'s
     and to its value in any other grid; a refined grid never does worse.
@@ -318,12 +321,13 @@ def optimize_thresholds(model: TrustModel, sensors: LegitimateSensorModel,
     Points are ordered by ascending ``gamma_t``, then ``p_t``, and the first
     strict minimum wins, so ties keep the first point;
     duplicates such as ``(r_{j-1}, 0)`` and ``(r_j, 1)`` have bit-identical
-    trust probabilities and resolve to the earlier one. Priors that do not
-    sum to 1 raise :class:`ValidationError` before the scan.
+    trust probabilities and resolve to the earlier one. Priors outside
+    (0, 1) or that do not sum to 1 raise :class:`ValidationError` before the
+    scan.
     """
-    _check_prior_sum(prior_h0, prior_h1)
+    gamma_ts = log_prior_ratio(prior_h0, prior_h1)
     n_malicious = worst_case_malicious_count(config.m_bar, n)
-    fa, md = conditional_errors(n - n_malicious, n_malicious, config.gamma_ts, sensors)
+    fa, md = conditional_errors(n - n_malicious, n_malicious, gamma_ts, sensors)
     cost = prior_h0 * fa + prior_h1 * md
     grid = tie_break_grid(config.delta_p)
     points = [(gamma_t, p_t) for gamma_t in ratio_set(model) for p_t in grid]

@@ -122,11 +122,10 @@ def test_criterion_4_monotone_in_malicious_count():
             sensors = LegitimateSensorModel(float(rng.uniform(0.02, 0.25)),
                                             float(rng.uniform(0.02, 0.25)))
             prior_h0 = float(rng.uniform(0.25, 0.75))
-            gamma_ts = math.log(prior_h0 / (1 - prior_h0))
             gamma_t = ratio_set(trust)[int(rng.integers(0, 2))]
             p_t = float(rng.choice([0.0, 0.25, 0.6, 1.0]))
             values = [
-                worst_case_error_by_counts(trust, sensors, gamma_ts, prior_h0,
+                worst_case_error_by_counts(trust, sensors, prior_h0,
                                            1 - prior_h0, n - k, k, gamma_t, p_t)
                 for k in range(n + 1)
             ]
@@ -148,10 +147,9 @@ def test_criterion_5_grid_refinement_and_prior_floor():
         prior_h1 = 1 - prior_h0
         n = int(rng.integers(4, 12))
         m_bar = float(rng.uniform(0.1, 0.9))
-        gamma_ts = math.log(prior_h0 / prior_h1)
         minima = []
         for delta_p in (0.2, 0.1, 0.05, 0.01):
-            config = TwoStageConfig(m_bar=m_bar, delta_p=delta_p, gamma_ts=gamma_ts)
+            config = TwoStageConfig(m_bar=m_bar, delta_p=delta_p)
             choice = optimize_thresholds(trust, sensors, config, n,
                                          prior_h0, prior_h1)
             minima.append(choice.worst_case_pe)

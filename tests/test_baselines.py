@@ -28,7 +28,7 @@ def reputation(rows, window, threshold, gamma_ts=0.0):
 
 class TestOracle:
     def test_no_malicious_matches_oblivious(self):
-        scenario = Scenario(n=6, truth=(1,) * 6, prior_h0=0.5, prior_h1=0.5,
+        scenario = Scenario(truth=(1,) * 6, prior_h0=0.5, prior_h1=0.5,
                             sensors=SENSORS, attack=MaliciousStrategy(0, 0, 1),
                             trust=TRUST)
         _, y, _ = sample_trials(scenario, substream(3, 0), 200)
@@ -64,7 +64,7 @@ class TestOblivious:
         assert oblivious_decide([(1, 1, 1)], SENSORS, 0.0).tolist() == [1]
 
     def test_fusion_beats_single_sensor_without_adversaries(self):
-        scenario = Scenario(n=9, truth=(1,) * 9, prior_h0=0.5, prior_h1=0.5,
+        scenario = Scenario(truth=(1,) * 9, prior_h0=0.5, prior_h1=0.5,
                             sensors=SENSORS, attack=MaliciousStrategy(0, 0, 1),
                             trust=TRUST)
         trials = 20_000
@@ -122,7 +122,7 @@ class TestReputation:
                           threshold=2.0) == [1, 1, 1]
 
     def test_deterministic_given_stream(self):
-        scenario = Scenario(n=5, truth=(1, 1, 1, 0, 0), prior_h0=0.5, prior_h1=0.5,
+        scenario = Scenario(truth=(1, 1, 1, 0, 0), prior_h0=0.5, prior_h1=0.5,
                             sensors=SENSORS, attack=MaliciousStrategy(0, 0, 0.99),
                             trust=TRUST)
         runs = [reputation_decide(sample_trials(scenario, substream(99, 0), 100)[1],

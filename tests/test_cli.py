@@ -332,15 +332,35 @@ class TestMain:
         points = manifest["points"]
         config = build_config(preset_config("numerical-study"))
         assert [p["malicious_fraction"] for p in points] == list(config.sweep)
-        # one scan per point: the manifest's reads all hit the memo
+        # one scan per point, and the manifest reads none back
         info = optimize_thresholds.cache_info()
-        assert info.misses == len(points) and info.hits >= len(points)
+        assert (info.misses, info.hits) == (len(points), 0)
         for point in points:
             assert set(point) == {"malicious_fraction", "stream_digest", "2sa"}
             assert len(point["stream_digest"]) == 64
             assert set(point["2sa"]) == {"gamma_t", "p_t", "worst_case_pe"}
             assert 0.0 <= point["2sa"]["p_t"] <= 1.0
             assert 0.0 <= point["2sa"]["worst_case_pe"] <= 1.0
+
+    def test_sweep_past_the_scan_memo_scans_each_point_once(self, tmp_path, capsys):
+        # more points than optimize_thresholds' lru_cache holds: the manifest
+        # records each point's thresholds from its result, so no scan runs twice
+        raw = preset_config("numerical-study")
+        raw.update(trials=5, methods=["2sa"], sweep=[i / 129 for i in range(130)])
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(raw))
+        optimize_thresholds.cache_clear()
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        info = optimize_thresholds.cache_info()
+        assert (info.misses, info.hits) == (130, 0)
+        points = json.loads((tmp_path / "out" / "wide.manifest.json").read_text())["points"]
+        results = sweep_malicious_fraction(build_config(raw))
+        assert len(points) == len(results) == 130
+        for point, result in zip(points, results):
+            choice = result.thresholds
+            assert point["2sa"] == {"gamma_t": choice.gamma_t, "p_t": choice.p_t,
+                                    "worst_case_pe": choice.worst_case_pe}
 
     def test_replica_manifest_digest_is_the_pinned_one(self, tmp_path, capsys):
         out = tmp_path / "repro"

@@ -16,7 +16,6 @@ from trustfusion.models import (
     effective_malicious_probs,
     log_prior_ratio,
     ratio_set,
-    trust_lr,
 )
 
 
@@ -26,7 +25,6 @@ BINARY_TRUST = TrustModel(alphabet=(0, 1), pmf_legit=(0.2, 0.8),
 
 def make_scenario(**overrides):
     base = dict(
-        n=3,
         truth=(1, 0, 1),
         prior_h0=0.5,
         prior_h1=0.5,
@@ -68,14 +66,15 @@ class TestEffectiveMaliciousProbs:
 
 class TestTrustLikelihoodRatio:
     def test_informative_symbol(self):
-        assert trust_lr(BINARY_TRUST, 1) == pytest.approx(4.0)
+        assert BINARY_TRUST.ratios[BINARY_TRUST.symbol_index(1)] == pytest.approx(4.0)
 
     def test_complement_symbol(self):
-        assert trust_lr(BINARY_TRUST, 0) == pytest.approx((1 - 0.8) / (1 - 0.2))
+        assert (BINARY_TRUST.ratios[BINARY_TRUST.symbol_index(0)]
+                == pytest.approx((1 - 0.8) / (1 - 0.2)))
 
     def test_unknown_symbol_rejected(self):
         with pytest.raises(ValidationError):
-            trust_lr(BINARY_TRUST, 2)
+            BINARY_TRUST.ratios[BINARY_TRUST.symbol_index(2)]
 
     def test_symbol_positions_match_symbol_index(self):
         model = TrustModel(alphabet=("lo", 7, None), pmf_legit=(0.2, 0.3, 0.5),
@@ -102,7 +101,7 @@ class TestTrustLikelihoodRatio:
                 pmf_malicious=tuple(float(x) for x in qm / qm.sum()),
             )
             for j, sym in enumerate(model.alphabet):
-                product = trust_lr(model, sym) * model.pmf_malicious[j]
+                product = model.ratios[model.symbol_index(sym)] * model.pmf_malicious[j]
                 assert product == pytest.approx(model.pmf_legit[j], rel=1e-12)
 
 
@@ -158,9 +157,11 @@ class TestConstructionInvariants:
         with pytest.raises(ValidationError):
             make_scenario(prior_h0=0.6, prior_h1=0.5)
 
-    def test_truth_length_must_match(self):
-        with pytest.raises(ValidationError):
-            make_scenario(truth=(1, 0))
+    def test_empty_truth_rejected_and_n_is_its_length(self):
+        with pytest.raises(ValidationError, match="empty"):
+            make_scenario(truth=())
+        for truth in ((1,), (1, 0), (0, 1, 1, 0, 1)):
+            assert make_scenario(truth=truth).n == len(truth)
 
     def test_truth_bits_checked(self):
         with pytest.raises(ValidationError):

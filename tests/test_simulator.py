@@ -35,14 +35,14 @@ from trustfusion.simulator import (
     substream,
     sweep_malicious_fraction,
 )
-from trustfusion.two_stage import TwoStageConfig
+from trustfusion.two_stage import TwoStageConfig, optimize_thresholds
 
 TRUST = TrustModel(alphabet=(0, 1), pmf_legit=(0.2, 0.8), pmf_malicious=(0.8, 0.2))
 
 
 def make_scenario(truth, p_f=0.99, raw=0.0, prior_h1=0.5):
     return Scenario(
-        n=len(truth), truth=tuple(truth), prior_h0=1 - prior_h1, prior_h1=prior_h1,
+        truth=tuple(truth), prior_h0=1 - prior_h1, prior_h1=prior_h1,
         sensors=LegitimateSensorModel(0.15, 0.15),
         attack=MaliciousStrategy(raw, raw, p_f),
         trust=TRUST,
@@ -53,8 +53,7 @@ def make_config(scenario, methods=("oracle",), trials=100, seed=7, sweep=None,
                 m_bar=0.0):
     return ExperimentConfig(
         scenario=scenario,
-        two_stage=TwoStageConfig(m_bar=m_bar, delta_p=0.05,
-                                 gamma_ts=scenario.gamma_ts),
+        two_stage=TwoStageConfig(m_bar=m_bar, delta_p=0.05),
         trials=trials, seed=seed, methods=tuple(methods), sweep=sweep,
     )
 
@@ -288,8 +287,9 @@ class TestAglrtCountClasses:
             patch.setattr(aglrt, "_class_maxima",
                           lambda counts, constants: (calls.append(tuple(counts))
                                                      or core(counts, constants)))
-            hypotheses = _decide("aglrt", make_config(scenario, ("aglrt",), trials=count),
-                                 0, stream)
+            hypotheses, thresholds = _decide(
+                "aglrt", make_config(scenario, ("aglrt",), trials=count), 0, stream)
+        assert thresholds is None
         assert hypotheses.dtype == np.int8
         assert np.array_equal(hypotheses, per_row_aglrt_hypotheses(scenario, stream))
         vectors = {tuple(v) for v in _count_vectors(scenario, stream).tolist()}
@@ -372,11 +372,13 @@ class TestRunExperiment:
         with pytest.raises(ValidationError):
             make_config(scenario, ("magic",))
 
-    def test_fusion_threshold_must_match_priors(self):
-        # the minimax scan and the fusion rule would use different thresholds
-        config = make_config(make_scenario((1, 0, 1), prior_h1=0.3), ("2sa",))
-        with pytest.raises(ValidationError, match="gamma_ts"):
-            replace(config, two_stage=replace(config.two_stage, gamma_ts=0.0))
+    def test_result_carries_the_thresholds_2sa_decided_with(self):
+        scenario = make_scenario((1, 0, 1), prior_h1=0.3)
+        config = make_config(scenario, ("oracle", "2sa"), trials=50, m_bar=0.4)
+        sc = config.scenario
+        assert run_experiment(config).thresholds == optimize_thresholds(
+            sc.trust, sc.sensors, config.two_stage, sc.n, sc.prior_h0, sc.prior_h1)
+        assert run_experiment(replace(config, methods=("oracle",))).thresholds is None
 
 
 class TestMethodParsing:
@@ -428,9 +430,9 @@ class TestPlacement:
                 scenario, truth=tuple(np.array(scenario.truth)[order].tolist())))
             permuted_stream = (xi, y[:, order], a_idx[:, order])
             for name in ("oracle", "oblivious", "baseline1", "baseline5", "aglrt"):
-                hypotheses = _decide(name, config, 0, stream)
+                hypotheses, _ = _decide(name, config, 0, stream)
                 moved = np.flatnonzero(hypotheses != _decide(name, permuted, 0,
-                                                             permuted_stream))
+                                                             permuted_stream)[0])
                 assert moved.size == 0, name
         # the last stream is the symmetric one
         assert _tie_band_rows(symmetric.scenario, stream).any()

@@ -40,7 +40,7 @@ from trustfusion.two_stage import (
     worst_case_error_by_counts,
     worst_case_malicious_count,
 )
-from trustfusion.models import ratio_set
+from trustfusion.models import log_prior_ratio, ratio_set
 
 BINARY_TRUST = TrustModel(alphabet=(0, 1), pmf_legit=(0.2, 0.8),
                           pmf_malicious=(0.8, 0.2))
@@ -220,7 +220,7 @@ class TestConditionalErrors:
         with pytest.raises(ValidationError, match="nonnegative"):
             conditional_errors(n_legit, n_malicious, 0.0, SYMMETRIC_SENSORS)
         with pytest.raises(ValidationError, match="nonnegative"):
-            worst_case_error_by_counts(BINARY_TRUST, SYMMETRIC_SENSORS, 0.0, 0.5, 0.5,
+            worst_case_error_by_counts(BINARY_TRUST, SYMMETRIC_SENSORS, 0.5, 0.5,
                                        n_legit, n_malicious, 1.0, 0.5)
 
 
@@ -302,13 +302,13 @@ class TestWorstCaseError:
             sensors = LegitimateSensorModel(float(rng.uniform(0.05, 0.45)),
                                             float(rng.uniform(0.05, 0.45)))
             prior_h0 = float(rng.uniform(0.2, 0.8))
-            gamma_ts = math.log(prior_h0 / (1 - prior_h0))
+            gamma_ts = log_prior_ratio(prior_h0, 1 - prior_h0)
             ratios = ratio_set(model)
             gamma_t = ratios[int(rng.integers(0, len(ratios)))]
             p_t = float(rng.choice([0.0, 0.3, 1.0]))
             for n_mal in sorted({0, int(rng.integers(0, n + 1)), n}):
                 closed = worst_case_error_by_counts(
-                    model, sensors, gamma_ts, prior_h0, 1 - prior_h0,
+                    model, sensors, prior_h0, 1 - prior_h0,
                     n - n_mal, n_mal, gamma_t, p_t)
                 truth = tuple([0] * n_mal + [1] * (n - n_mal))
                 enumerated = exact_two_stage_error(
@@ -320,7 +320,7 @@ class TestWorstCaseError:
         # with a zero malicious bound and everything trusted, the closed form
         # reduces to the plain fused rule over all robots
         n = 5
-        config = TwoStageConfig(m_bar=0.0, delta_p=0.01, gamma_ts=0.0)
+        config = TwoStageConfig(m_bar=0.0, delta_p=0.01)
         gamma_t = min(ratio_set(BINARY_TRUST)) - 1.0
         closed = worst_case_error(BINARY_TRUST, SYMMETRIC_SENSORS, config, n,
                                   gamma_t, 0.0, 0.5, 0.5)
@@ -331,7 +331,7 @@ class TestWorstCaseError:
     def test_no_adversary_monte_carlo(self):
         # simulated error of the trust-everyone pipeline, one million trials
         n = 5
-        config = TwoStageConfig(m_bar=0.0, delta_p=0.01, gamma_ts=0.0)
+        config = TwoStageConfig(m_bar=0.0, delta_p=0.01)
         gamma_t = min(ratio_set(BINARY_TRUST)) - 1.0
         closed = worst_case_error(BINARY_TRUST, SYMMETRIC_SENSORS, config, n,
                                   gamma_t, 0.0, 0.5, 0.5)
@@ -347,8 +347,7 @@ class TestWorstCaseError:
         assert abs(errors - closed) <= 3 * sigma
 
     def test_zero_trust_corner_error_is_prior_floor(self):
-        config = TwoStageConfig(m_bar=0.5, delta_p=0.01,
-                                gamma_ts=math.log(0.7 / 0.3))
+        config = TwoStageConfig(m_bar=0.5, delta_p=0.01)
         gamma_t = max(ratio_set(BINARY_TRUST)) + 1.0
         value = worst_case_error(BINARY_TRUST, SYMMETRIC_SENSORS, config, 6,
                                  gamma_t, 0.0, 0.7, 0.3)
@@ -361,8 +360,7 @@ class TestWorstCaseError:
             sensors = LegitimateSensorModel(float(rng.uniform(0.01, 0.49)),
                                             float(rng.uniform(0.01, 0.49)))
             prior_h0 = float(rng.uniform(0.05, 0.95))
-            config = TwoStageConfig(m_bar=float(rng.uniform(0, 1)), delta_p=0.1,
-                                    gamma_ts=math.log(prior_h0 / (1 - prior_h0)))
+            config = TwoStageConfig(m_bar=float(rng.uniform(0, 1)), delta_p=0.1)
             value = worst_case_error(model, sensors, config, int(rng.integers(1, 15)),
                                      float(rng.uniform(0, 5)), float(rng.uniform(0, 1)),
                                      prior_h0, 1 - prior_h0)
@@ -378,11 +376,10 @@ class TestWorstCaseError:
             sensors = LegitimateSensorModel(float(rng.uniform(0.02, 0.25)),
                                             float(rng.uniform(0.02, 0.25)))
             prior_h0 = float(rng.uniform(0.3, 0.7))
-            gamma_ts = math.log(prior_h0 / (1 - prior_h0))
             gamma_t = ratio_set(model)[0]
             p_t = 0.4
             values = [
-                worst_case_error_by_counts(model, sensors, gamma_ts, prior_h0,
+                worst_case_error_by_counts(model, sensors, prior_h0,
                                            1 - prior_h0, n - k, k, gamma_t, p_t)
                 for k in range(n + 1)
             ]
@@ -399,11 +396,11 @@ class TestWorstCaseError:
                            pmf_malicious=(1 - 0.102, 0.102))
         sensors = LegitimateSensorModel(0.405, 0.357)
         prior_h0 = 0.367
-        gamma_ts = math.log(prior_h0 / (1 - prior_h0))
+        gamma_ts = log_prior_ratio(prior_h0, 1 - prior_h0)
         gamma_t = model.ratios[0]
         n = 4
         values = [
-            worst_case_error_by_counts(model, sensors, gamma_ts, prior_h0,
+            worst_case_error_by_counts(model, sensors, prior_h0,
                                        1 - prior_h0, n - k, k, gamma_t, 0.0)
             for k in range(n + 1)
         ]
@@ -432,9 +429,9 @@ class TestMaliciousCount:
 
 class TestTwoStageConfig:
     def test_grid_step_is_bounded_below(self):
-        assert TwoStageConfig(m_bar=0.5, delta_p=1e-4, gamma_ts=0.0).delta_p == 1e-4
+        assert TwoStageConfig(m_bar=0.5, delta_p=1e-4).delta_p == 1e-4
         with pytest.raises(ValidationError, match="delta_p"):
-            TwoStageConfig(m_bar=0.5, delta_p=9.9e-5, gamma_ts=0.0)
+            TwoStageConfig(m_bar=0.5, delta_p=9.9e-5)
 
 
 class TestTieBreakGrid:
@@ -453,7 +450,7 @@ class TestTieBreakGrid:
 
 class TestOptimizeThresholds:
     def test_returns_grid_minimum(self):
-        config = TwoStageConfig(m_bar=0.4, delta_p=0.2, gamma_ts=0.0)
+        config = TwoStageConfig(m_bar=0.4, delta_p=0.2)
         choice = optimize_thresholds(BINARY_TRUST, SYMMETRIC_SENSORS, config, 6,
                                      0.5, 0.5)
         scan = min(
@@ -469,8 +466,7 @@ class TestOptimizeThresholds:
         # (error = smaller prior) is the best achievable bound
         model = TrustModel(alphabet=(0, 1), pmf_legit=(0.49, 0.51),
                            pmf_malicious=(0.51, 0.49))
-        config = TwoStageConfig(m_bar=0.8, delta_p=0.05,
-                                gamma_ts=math.log(0.6 / 0.4))
+        config = TwoStageConfig(m_bar=0.8, delta_p=0.05)
         choice = optimize_thresholds(model, SYMMETRIC_SENSORS, config, 10, 0.6, 0.4)
         corner = worst_case_error(model, SYMMETRIC_SENSORS, config, 10,
                                   max(ratio_set(model)) + 1, 0.0, 0.6, 0.4)
@@ -478,7 +474,7 @@ class TestOptimizeThresholds:
         assert choice.worst_case_pe <= corner + 1e-15
 
     def test_zero_bound_recovers_standard_fusion(self):
-        config = TwoStageConfig(m_bar=0.0, delta_p=0.1, gamma_ts=0.0)
+        config = TwoStageConfig(m_bar=0.0, delta_p=0.1)
         choice = optimize_thresholds(BINARY_TRUST, SYMMETRIC_SENSORS, config, 5,
                                      0.5, 0.5)
         expected = exact_fixed_trust_error(SYMMETRIC_SENSORS, 0.0, 0.5, 0.5,
@@ -486,20 +482,38 @@ class TestOptimizeThresholds:
         assert choice.worst_case_pe == pytest.approx(expected, abs=1e-12)
 
     def test_robot_count_capped_before_allocating(self):
-        config = TwoStageConfig(m_bar=0.4, delta_p=0.1, gamma_ts=0.0)
+        config = TwoStageConfig(m_bar=0.4, delta_p=0.1)
         with pytest.raises(ValidationError, match="at most"):
             optimize_thresholds(BINARY_TRUST, SYMMETRIC_SENSORS, config,
                                 _MAX_ROBOTS + 1, 0.5, 0.5)
         with pytest.raises(ValidationError, match="at most"):
-            worst_case_error_by_counts(BINARY_TRUST, SYMMETRIC_SENSORS, 0.0, 0.5, 0.5,
+            worst_case_error_by_counts(BINARY_TRUST, SYMMETRIC_SENSORS, 0.5, 0.5,
                                        _MAX_ROBOTS, 1, 0.25, 0.5)
 
     @pytest.mark.parametrize("priors", [(0.9, 0.9), (0.5, 0.4), (0.3, 0.7 + 1e-9)])
     def test_priors_not_summing_to_one_refused(self, priors):
         # (0.9, 0.9) would certify a "worst-case error" of 0.183
-        config = TwoStageConfig(m_bar=0.4, delta_p=0.1, gamma_ts=0.0)
+        config = TwoStageConfig(m_bar=0.4, delta_p=0.1)
         with pytest.raises(ValidationError, match="priors sum to"):
             optimize_thresholds(BINARY_TRUST, SYMMETRIC_SENSORS, config, 6, *priors)
+
+    def test_certified_bound_is_the_log_prior_ratio_rule_at_random_priors(self):
+        # the scan fuses at the log prior ratio of the priors it is given, and
+        # so does the one-point evaluation: the same bits at the chosen point
+        rng = np.random.default_rng(2718)
+        for _ in range(20):
+            model = random_trust(rng, int(rng.integers(2, 5)))
+            sensors = LegitimateSensorModel(float(rng.uniform(0.05, 0.45)),
+                                            float(rng.uniform(0.05, 0.45)))
+            prior_h0 = float(rng.uniform(0.01, 0.99))
+            n = int(rng.integers(1, 30))
+            m_bar = float(rng.uniform(0, 1))
+            n_mal = worst_case_malicious_count(m_bar, n)
+            choice = optimize_thresholds(model, sensors, TwoStageConfig(m_bar, 0.1), n,
+                                         prior_h0, 1 - prior_h0)
+            value = worst_case_error_by_counts(model, sensors, prior_h0, 1 - prior_h0,
+                                               n - n_mal, n_mal, choice.gamma_t, choice.p_t)
+            assert choice.worst_case_pe.hex() == value.hex()
 
     def test_choice_minimizes_count_referee(self):
         # the count-domain oracle, evaluated at every grid point, is never
@@ -510,11 +524,11 @@ class TestOptimizeThresholds:
             sensors = LegitimateSensorModel(float(rng.uniform(0.05, 0.45)),
                                             float(rng.uniform(0.05, 0.45)))
             prior_h0 = float(rng.uniform(0.2, 0.8))
-            gamma_ts = math.log(prior_h0 / (1 - prior_h0))
+            gamma_ts = log_prior_ratio(prior_h0, 1 - prior_h0)
             n = int(rng.integers(1, 9))
             m_bar = float(rng.choice([0.0, float(rng.uniform(0, 1)), 1.0]))
             n_mal = worst_case_malicious_count(m_bar, n)
-            config = TwoStageConfig(m_bar=m_bar, delta_p=0.1, gamma_ts=gamma_ts)
+            config = TwoStageConfig(m_bar=m_bar, delta_p=0.1)
             choice = optimize_thresholds(model, sensors, config, n, prior_h0, 1 - prior_h0)
 
             def referee(gamma_t, p_t):
@@ -546,7 +560,7 @@ class TestOptimizeThresholds:
     def test_trust_everyone_bound_is_exact_at_n40(self):
         # no malicious bound at N=40: everyone is trusted and the bound is the
         # plain fused error, >= 20 false alarms or <= 19 detections of 40
-        config = TwoStageConfig(m_bar=0.0, delta_p=0.01, gamma_ts=0.0)
+        config = TwoStageConfig(m_bar=0.0, delta_p=0.01)
         choice = optimize_thresholds(BINARY_TRUST, SYMMETRIC_SENSORS, config, 40,
                                      0.5, 0.5)
         exact = (exact_binom_sum(40, 0.15, range(20, 41))
@@ -556,8 +570,7 @@ class TestOptimizeThresholds:
         assert choice.worst_case_pe == pytest.approx(float(exact), rel=1e-12, abs=0.0)
 
     def test_grid_refinement_never_hurts(self):
-        config_for = lambda dp: TwoStageConfig(m_bar=0.5, delta_p=dp,
-                                               gamma_ts=math.log(0.55 / 0.45))
+        config_for = lambda dp: TwoStageConfig(m_bar=0.5, delta_p=dp)
         values = [
             optimize_thresholds(BINARY_TRUST, TABLE_SENSORS, config_for(dp), 9,
                                 0.55, 0.45).worst_case_pe
@@ -567,12 +580,12 @@ class TestOptimizeThresholds:
 
 
 def scan_instance(model, sensors, n, m_bar, prior_h0):
-    """The worst-case cost table of one scan and its fusion threshold, the
-    log prior ratio."""
-    gamma_ts = math.log(prior_h0 / (1 - prior_h0))
+    """The worst-case cost table of one scan, fused at the log prior ratio
+    as the scan fuses."""
     n_mal = worst_case_malicious_count(m_bar, n)
-    fa, md = conditional_errors(n - n_mal, n_mal, gamma_ts, sensors)
-    return prior_h0 * fa + (1 - prior_h0) * md, gamma_ts
+    fa, md = conditional_errors(n - n_mal, n_mal, log_prior_ratio(prior_h0, 1 - prior_h0),
+                                sensors)
+    return prior_h0 * fa + (1 - prior_h0) * md
 
 
 class TestMixtureErrors:
@@ -580,7 +593,7 @@ class TestMixtureErrors:
     of the batch and block a point is computed in."""
 
     def _check_against_referee(self, model, sensors, n, m_bar, prior_h0, delta_p):
-        cost, gamma_ts = scan_instance(model, sensors, n, m_bar, prior_h0)
+        cost = scan_instance(model, sensors, n, m_bar, prior_h0)
         ratios = ratio_set(model)
         grid = tie_break_grid(delta_p)
         # thresholds below and above every ratio trust everyone / no one
@@ -593,7 +606,7 @@ class TestMixtureErrors:
         # the scan keeps the referee's first strict minimum over the grid
         scan = [(g, p) for g in ratios for p in grid]
         referee = [per_point_mixture_error(model, cost, g, p) for g, p in scan]
-        config = TwoStageConfig(m_bar=m_bar, delta_p=delta_p, gamma_ts=gamma_ts)
+        config = TwoStageConfig(m_bar=m_bar, delta_p=delta_p)
         choice = optimize_thresholds(model, sensors, config, n, prior_h0, 1 - prior_h0)
         assert (choice.gamma_t, choice.p_t) == scan[referee.index(min(referee))]
 
@@ -621,7 +634,7 @@ class TestMixtureErrors:
                                                   (300, 0.8, "one per point"),
                                                   (9, 1.0, "one")])
     def test_value_is_independent_of_batch_and_block(self, n, m_bar, blocks):
-        cost, gamma_ts = scan_instance(BINARY_TRUST, TABLE_SENSORS, n, m_bar, 0.55)
+        cost = scan_instance(BINARY_TRUST, TABLE_SENSORS, n, m_bar, 0.55)
         fine = [(g, p) for g in ratio_set(BINARY_TRUST) for p in tie_break_grid(0.01)]
         coarse = [(g, p) for g in ratio_set(BINARY_TRUST) for p in tie_break_grid(0.1)]
         cells = len(fine) * cost.size
@@ -638,7 +651,7 @@ class TestMixtureErrors:
         # the public one-point evaluation goes through the same helper
         n_mal = worst_case_malicious_count(m_bar, n)
         for g, p in coarse:
-            alone = worst_case_error_by_counts(BINARY_TRUST, TABLE_SENSORS, gamma_ts, 0.55,
+            alone = worst_case_error_by_counts(BINARY_TRUST, TABLE_SENSORS, 0.55,
                                                1 - 0.55, n - n_mal, n_mal, g, p)
             assert alone == by_point[g, p]
 
@@ -646,7 +659,7 @@ class TestMixtureErrors:
 class TestRunTwoStage:
     def _scenario(self, truth, trust=BINARY_TRUST):
         return Scenario(
-            n=len(truth), truth=truth, prior_h0=0.5, prior_h1=0.5,
+            truth=truth, prior_h0=0.5, prior_h1=0.5,
             sensors=SYMMETRIC_SENSORS,
             attack=MaliciousStrategy(0.0, 0.0, 1.0),
             trust=trust,
@@ -654,7 +667,7 @@ class TestRunTwoStage:
 
     def test_deterministic_given_seed(self):
         scenario = self._scenario((1, 0, 1, 1, 0))
-        config = TwoStageConfig(m_bar=0.4, delta_p=0.1, gamma_ts=0.0)
+        config = TwoStageConfig(m_bar=0.4, delta_p=0.1)
         thresholds = optimize_thresholds(scenario.trust, scenario.sensors,
                                          config, scenario.n, 0.5, 0.5)
         outcomes = []
@@ -676,7 +689,7 @@ class TestRunTwoStage:
         from trustfusion.baselines import oblivious_decide
 
         scenario = self._scenario((1,) * 6)
-        config = TwoStageConfig(m_bar=0.0, delta_p=0.1, gamma_ts=0.0)
+        config = TwoStageConfig(m_bar=0.0, delta_p=0.1)
         thresholds = optimize_thresholds(scenario.trust, scenario.sensors,
                                          config, scenario.n, 0.5, 0.5)
         trial_rng = substream(5, 0)
@@ -698,7 +711,7 @@ class TestRunTwoStage:
         sharp = TrustModel(alphabet=(0, 1), pmf_legit=(0.001, 0.999),
                            pmf_malicious=(0.999, 0.001))
         scenario = self._scenario((1, 1, 1, 0, 0), trust=sharp)
-        config = TwoStageConfig(m_bar=0.4, delta_p=0.1, gamma_ts=0.0)
+        config = TwoStageConfig(m_bar=0.4, delta_p=0.1)
         thresholds = optimize_thresholds(sharp, scenario.sensors, config,
                                          scenario.n, 0.5, 0.5)
         trial_rng = substream(13, 0)
