@@ -7,6 +7,7 @@ instances can be shared freely across threads and used as cache keys.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Optional
@@ -124,15 +125,16 @@ class TrustModel:
 
 @dataclass(frozen=True)
 class LegitimateSensorModel:
-    """False-alarm / missed-detection rates of one legitimate sensor."""
+    """False-alarm / missed-detection rates of one legitimate sensor, each in
+    ``[sys.float_info.min, 0.5)`` so that both fusion weights are finite."""
 
     p_fa_l: float
     p_md_l: float
 
     def __post_init__(self) -> None:
         for name, p in (("p_fa_l", self.p_fa_l), ("p_md_l", self.p_md_l)):
-            if not 0.0 < p < 0.5:
-                raise ValidationError(f"{name}={p!r} outside the open interval (0, 0.5)")
+            if not sys.float_info.min <= p < 0.5:
+                raise ValidationError(f"{name}={p!r} outside [{sys.float_info.min!r}, 0.5)")
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,6 @@ __all__ = [
     "ThresholdChoice",
     "fusion_weights",
     "trust_probabilities",
-    "accepts_h1",
     "decide_hypothesis",
     "conditional_errors",
     "worst_case_malicious_count",
@@ -100,7 +99,8 @@ class ThresholdChoice:
 def fusion_weights(sensors: LegitimateSensorModel) -> tuple:
     """Log-likelihood weights (w1, w0) of a positive / negative report.
 
-    Both are strictly positive because the sensor error rates are below 0.5.
+    Both are positive and finite (at most about 708.4), because the sensor
+    error rates lie in ``[sys.float_info.min, 0.5)``.
     """
     w1 = math.log((1.0 - sensors.p_md_l) / sensors.p_fa_l)
     w0 = math.log((1.0 - sensors.p_fa_l) / sensors.p_md_l)
@@ -128,35 +128,23 @@ def trust_probabilities(model: TrustModel, gamma_t: float, p_t: float) -> tuple:
     return min(p_trust_l, 1.0), min(p_trust_m, 1.0)
 
 
-def accepts_h1(ones: int, trusted: int, gamma_ts: float, w1: float, w0: float) -> bool:
-    """Fusion predicate: does a trusted set with ``ones`` positive reports
-    out of ``trusted`` members decide for the event hypothesis?
-
-    The fused statistic ``ones*w1 - (trusted-ones)*w0`` is compared against
-    ``gamma_ts`` in the rearranged form below. The rearrangement avoids the
-    catastrophic +/- cancellation of the naive running sum, so ties (which
-    carry real probability mass, e.g. equal counts under symmetric sensors
-    and even priors) are detected exactly and identically everywhere this
-    predicate is used.
-    """
-    return ones * (w0 + w1) >= gamma_ts + trusted * w0
-
-
 def decide_hypothesis(y, t_hat, sensors: LegitimateSensorModel, gamma_ts: float):
-    """Standard fused decision over the robots marked trusted in ``t_hat``.
+    """Standard fused decision, ``ones >= o[trusted]``, over the robots
+    marked trusted in ``t_hat``.
 
     The robots are the trailing axis: one row of reports gives one 0/1
     decision, a ``(T, n)`` stack gives ``(T,)`` decisions, and ``t_hat`` may
     be one row shared by every trial. A ``t_hat`` whose trailing axis is not
-    as long as ``y``'s raises :class:`ValidationError` rather than broadcast.
+    as long as ``y``'s, or a scalar with no robot axis, raises
+    :class:`ValidationError` rather than broadcast.
     """
-    w1, w0 = fusion_weights(sensors)
     trusted = np.asarray(t_hat) == 1
-    if trusted.shape[-1:] != np.shape(y)[-1:]:
+    if trusted.ndim == 0 or trusted.shape[-1:] != np.shape(y)[-1:]:
         raise ValidationError(f"trust vector of shape {trusted.shape} does not match "
                               f"reports of shape {np.shape(y)}")
     ones = np.logical_and(y, trusted).sum(axis=-1)
-    return accepts_h1(ones, trusted.sum(axis=-1), gamma_ts, w1, w0).astype(np.int8)
+    fewest = np.array(_fewest_accepted(trusted.shape[-1], gamma_ts, sensors))
+    return (ones >= fewest[trusted.sum(axis=-1)]).astype(np.int8)
 
 
 def conditional_errors(n_legit: int, n_malicious: int, gamma_ts: float,
@@ -168,13 +156,13 @@ def conditional_errors(n_legit: int, n_malicious: int, gamma_ts: float,
     ``k_m`` malicious robots are trusted and every trusted malicious robot
     reports the wrong bit.
 
-    ``o[t]`` is :func:`_fewest_accepted`'s boundary of the predicate itself,
-    so the tables agree with the simulated decisions at every integer
-    boundary. The predicate is nondecreasing in the count, so a false alarm
-    is at most ``t - o[t]`` correct 0s among the ``k_l`` legitimate reports
-    and a miss at most ``o[t] - 1`` correct 1s: both lower binomial tails,
-    never ``1 - cdf``, read from one Pascal recurrence over ``k_l`` that adds
-    only nonnegative terms (exactly 0.0 below ``x = 0``, 1.0 from ``x = k_l``).
+    ``o[t]`` is :func:`_fewest_accepted`'s boundary, which every fused
+    decision reads, so the tables certify the rule the deciders apply. A
+    false alarm is at most ``t - o[t]`` correct 0s among the ``k_l``
+    legitimate reports and a miss at most ``o[t] - 1`` correct 1s: both lower
+    binomial tails, never ``1 - cdf``, read from one Pascal recurrence over
+    ``k_l`` that adds only nonnegative terms (exactly 0.0 below ``x = 0``,
+    1.0 from ``x = k_l``).
     Negative counts or more than ``_MAX_ROBOTS`` robots raise
     :class:`ValidationError` before any table is built.
     """
@@ -196,17 +184,19 @@ def conditional_errors(n_legit: int, n_malicious: int, gamma_ts: float,
     return fa, md
 
 
-def _fewest_accepted(n: int, gamma_ts: float, sensors: LegitimateSensorModel) -> list:
-    """``o[t]``, the fewest positive reports (of ``0..n``) that
-    :func:`accepts_h1` accepts with ``t`` trusted robots, ``n+1`` if none.
-
-    Both sides are computed as the predicate computes them, and the left one
-    is nondecreasing in the count, so ``accepts_h1(ones, t)`` iff
-    ``ones >= o[t]``.
+@lru_cache(maxsize=128)
+def _fewest_accepted(n: int, gamma_ts: float, sensors: LegitimateSensorModel) -> tuple:
+    """``o[t]`` for ``t`` in ``0..n``: the fewest of ``t`` trusted positive
+    reports for which the fused rule decides the event (``n+1`` if none),
+    the only place the rule is written. It compares ``ones*w1 - (t-ones)*w0``
+    with ``gamma_ts`` as ``ones*(w0+w1) >= gamma_ts + t*w0``, free of the
+    running sum's cancellation, so ties are exact and decide the event. The
+    left side is nondecreasing in ``ones`` (both weights are finite and
+    positive), so the rule holds iff ``ones >= o[t]``.
     """
     w1, w0 = fusion_weights(sensors)
     counts = np.arange(n + 1)
-    return np.searchsorted(counts * (w0 + w1), gamma_ts + counts * w0).tolist()
+    return tuple(np.searchsorted(counts * (w0 + w1), gamma_ts + counts * w0).tolist())
 
 
 def _pmf_rows(probs, coef) -> np.ndarray:
@@ -357,9 +347,9 @@ def run_two_stage(trial: Trial, thresholds: ThresholdChoice, model: TrustModel,
     """Classify trust from the scores, then fuse the trusted measurements.
 
     The one-row case of :func:`classify_trust` and :func:`decide_hypothesis`,
-    with the same tie draws and decision, counted in plain ints. The ``s_n``
-    diagnostic is the fused statistic ``ones*(w0+w1) - trusted*w0`` of those
-    counts.
+    with the same tie draws and decision (``ones >= o[trusted]``), counted in
+    plain ints. The ``s_n`` diagnostic is the fused statistic
+    ``ones*(w0+w1) - trusted*w0`` of those counts.
     """
     a_idx = model.symbol_positions(trial.a)
     t_hat = tuple(classify_trust(model, thresholds.gamma_t, thresholds.p_t, a_idx,
@@ -368,7 +358,7 @@ def run_two_stage(trial: Trial, thresholds: ThresholdChoice, model: TrustModel,
     trusted = sum(t_hat)
     w1, w0 = fusion_weights(sensors)
     return DecisionOutcome(
-        hypothesis=1 if accepts_h1(ones, trusted, gamma_ts, w1, w0) else 0,
+        hypothesis=int(ones >= _fewest_accepted(len(t_hat), gamma_ts, sensors)[trusted]),
         t_hat=t_hat,
         diagnostics={
             "s_n": ones * (w0 + w1) - trusted * w0,

@@ -94,6 +94,28 @@ def test_cleared_caches_make_aglrt_rebuild_its_plan(bench):
     assert first.trust.cumulative_pmfs[0] is not second.trust.cumulative_pmfs[0]
 
 
+def test_cleared_caches_make_the_scan_rebuild_the_fusion_boundary(bench):
+    # the scan builds each (n, gamma_ts, sensors) boundary once; every
+    # decider of the run, and each live call, reads it back
+    boundary = bench.two_stage._fewest_accepted
+    for workload in ("replica", "live-n48"):
+        bench.clear_program_caches()
+        assert boundary.cache_info().currsize == 0
+        config, thresholds, _ = bench.set_up(bench.workload_raw(workload, 1))
+        assert (boundary.cache_info().misses, boundary.cache_info().hits) == (1, 0)
+        sc = config.scenario
+        if workload == "replica":
+            bench.simulator.run_experiment(config)
+        else:
+            trial_rng, tie_rng = (bench.simulator.substream(1, i) for i in range(2))
+            for _ in range(3):
+                trial = bench.simulator.sample_trial(sc, trial_rng)
+                bench.two_stage.run_two_stage(trial, thresholds[0], sc.trust, sc.sensors,
+                                              sc.gamma_ts, tie_rng)
+        info = boundary.cache_info()
+        assert info.misses == 1 and info.hits > 0
+
+
 def test_scan_pmf_calls_do_not_grow_with_the_tie_grid(bench, monkeypatch):
     calls = []
     binom_pmf = bench.two_stage.binom_pmf

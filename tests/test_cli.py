@@ -204,6 +204,16 @@ class TestMain:
         assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["p_fa_l", "p_md_l"])
+    def test_subnormal_sensor_rate_exits_2(self, tmp_path, capsys, key):
+        # below the smallest normal double a fusion weight overflows to inf,
+        # and every fused method then decides H1 on every trial
+        path = write_config(tmp_path, overrides={key: 1e-310, "trials": 2000})
+        out = tmp_path / "results"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_nan_trust_pmf_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, overrides={"trust_pmf_malicious": [float("nan"), 0.2]})
         assert "NaN" in path.read_text()

@@ -1,6 +1,7 @@
 """Value-type invariants and derived-quantity checks."""
 
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -147,6 +148,17 @@ class TestConstructionInvariants:
             LegitimateSensorModel(0.5, 0.1)
         with pytest.raises(ValidationError):
             LegitimateSensorModel(0.1, 0.0)
+
+    @pytest.mark.parametrize("rate", [1e-310, 5e-324])
+    @pytest.mark.parametrize("name", ["p_fa_l", "p_md_l"])
+    def test_subnormal_sensor_rates_refused(self, name, rate):
+        # below the smallest normal double a fusion weight overflows to inf
+        with pytest.raises(ValidationError, match=name):
+            LegitimateSensorModel(**{"p_fa_l": 0.1, "p_md_l": 0.1, name: rate})
+
+    def test_smallest_normal_sensor_rate_accepted(self):
+        tiny = sys.float_info.min
+        assert LegitimateSensorModel(tiny, tiny).p_fa_l == tiny
 
     def test_raw_malicious_rates_below_half(self):
         with pytest.raises(ValidationError):

@@ -1,6 +1,7 @@
 """Two-stage pipeline: hand examples, enumeration cross-checks, properties."""
 
 import math
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from oracles import (
     exact_fixed_trust_error,
     exact_two_stage_error,
     exact_two_stage_error_by_counts,
+    fused_decision,
     per_point_mixture_error,
 )
 from trustfusion import two_stage
@@ -23,11 +25,16 @@ from trustfusion.models import (
     TrustModel,
     ValidationError,
 )
-from trustfusion.simulator import sample_trial, substream
+from trustfusion.simulator import (
+    _STREAM_TIES,
+    _STREAM_TRIALS,
+    sample_trial,
+    sample_trials,
+    substream,
+)
 from trustfusion.two_stage import (
     ThresholdChoice,
     TwoStageConfig,
-    accepts_h1,
     classify_trust,
     conditional_errors,
     decide_hypothesis,
@@ -179,7 +186,7 @@ class TestConditionalErrors:
             for k_m in range(n_malicious + 1):
                 t = k_l + k_m
                 o = next((c for c in range(n + 1)
-                          if accepts_h1(c, t, gamma_ts, w1, w0)), n + 1)
+                          if fused_decision(c, t, gamma_ts, w1, w0)), n + 1)
                 for table, x, q in ((fa, t - o, 1 - p_fa), (md, o - 1, 1 - p_md)):
                     value = table[k_l, k_m]
                     if x < 0 or x >= k_l:
@@ -224,6 +231,45 @@ class TestConditionalErrors:
                                        n_legit, n_malicious, 1.0, 0.5)
 
 
+def boundary_mismatches(n, gamma_ts, sensors):
+    """Every ``(ones, t)`` with ``ones <= t <= n`` at which ``ones >= o[t]``
+    differs from the referee's fused decision."""
+    w1, w0 = fusion_weights(sensors)
+    assert 0.0 < w1 < math.inf and 0.0 < w0 < math.inf
+    o = two_stage._fewest_accepted(n, gamma_ts, sensors)
+    assert len(o) == n + 1
+    return [(ones, t) for t in range(n + 1) for ones in range(t + 1)
+            if (ones >= o[t]) != fused_decision(ones, t, gamma_ts, w1, w0)]
+
+
+class TestFusionBoundary:
+    @pytest.mark.parametrize("preset", ["hardware-replica", "numerical-study"])
+    def test_equals_referee_at_the_robot_cap(self, preset):
+        sc = build_config(preset_config(preset)).scenario
+        assert boundary_mismatches(_MAX_ROBOTS, sc.gamma_ts, sc.sensors) == []
+
+    def test_equals_referee_at_extreme_rates_and_priors(self):
+        # rates log-uniform down to the smallest accepted one (itself
+        # included), the smaller prior log-uniform down to 1e-300
+        rng = np.random.default_rng(26)
+        tiny = sys.float_info.min
+        log_rate = (math.log(tiny), math.log(0.5))
+        below_one = math.nextafter(1.0, 0.0)
+        cases = [(tiny, tiny, 0.5), (tiny, 0.3, 1e-300), (0.3, tiny, 1e-300)]
+        while len(cases) < 200:
+            p_fa, p_md = (math.exp(rng.uniform(*log_rate)) for _ in range(2))
+            if p_fa < 0.5 and p_md < 0.5:
+                cases.append((max(p_fa, tiny), max(p_md, tiny),
+                              float(10.0 ** rng.uniform(-300, math.log10(0.5)))))
+        for p_fa, p_md, small in cases:
+            large = min(1.0 - small, below_one)
+            priors = (small, large) if rng.random() < 0.5 else (large, small)
+            sensors = LegitimateSensorModel(p_fa, p_md)
+            n = int(rng.integers(1, 40))
+            assert boundary_mismatches(n, log_prior_ratio(*priors), sensors) == [], \
+                (p_fa, p_md, priors)
+
+
 class TestDecideHypothesis:
     def test_two_of_three_positive(self):
         assert decide_hypothesis((1, 1, 0), (1, 1, 1), SYMMETRIC_SENSORS, 0.0) == 1
@@ -237,10 +283,33 @@ class TestDecideHypothesis:
     @pytest.mark.parametrize("y, t_hat", [((1, 0, 1), (1,)), ((1, 0, 1), (1, 1)),
                                           ([(1, 0, 1)] * 4, (1, 1, 1, 1)),
                                           ([(1, 0, 1)] * 4, [(1, 1)] * 4),
-                                          ((1, 0, 1), 1)])
+                                          ((1, 0, 1), 1), (1, 1)])
     def test_mis_sized_trust_vector_refused(self, y, t_hat):
         with pytest.raises(ValidationError, match="does not match"):
             decide_hypothesis(y, t_hat, SYMMETRIC_SENSORS, 0.0)
+
+    def test_replica_stream_equals_per_row_referee(self):
+        # 2sa's own trust decisions, the truth and everyone, on the
+        # hardware-replica seed-1 stream
+        raw = preset_config("hardware-replica")
+        raw["seed"] = 1
+        config = build_config(raw)
+        sc = config.scenario
+        _, y, a_idx = sample_trials(sc, substream(1, _STREAM_TRIALS), config.trials)
+        choice = optimize_thresholds(sc.trust, sc.sensors, config.two_stage, sc.n,
+                                     sc.prior_h0, sc.prior_h1)
+        t_hat = classify_trust(sc.trust, choice.gamma_t, choice.p_t, a_idx,
+                               substream(1, _STREAM_TIES))
+        w1, w0 = fusion_weights(sc.sensors)
+        for trust in (t_hat, np.array(sc.truth), np.ones(sc.n, dtype=np.int8)):
+            rows = np.broadcast_to(trust, y.shape)
+            expected = [fused_decision(ones, trusted, sc.gamma_ts, w1, w0)
+                        for ones, trusted in zip((y & rows).sum(axis=1).tolist(),
+                                                 rows.sum(axis=1).tolist())]
+            decided = decide_hypothesis(y, trust, sc.sensors, sc.gamma_ts)
+            assert decided.dtype == np.int8
+            assert decided.tolist() == expected
+            assert 0 < sum(expected) < len(expected)
 
 
 class TestClassifyTrust:
@@ -764,6 +833,7 @@ class TestRunTwoStage:
                     ones = int(np.sum(np.array(trial.y)[t_hat == 1]))
                     trusted = int(t_hat.sum())
                     assert out.hypothesis == int(hypothesis)
+                    assert out.hypothesis == fused_decision(ones, trusted, gamma_ts, w1, w0)
                     assert out.t_hat == tuple(t_hat.tolist())
                     assert out.diagnostics["s_n"] == ones * (w0 + w1) - trusted * w0
                     assert out.diagnostics["trusted"] == float(trusted)
