@@ -31,9 +31,8 @@ from .two_stage import (
     optimize_thresholds,
     run_two_stage,
     trust_probabilities,
-    worst_case_error,
 )
-from .aglrt import aglrt_decide, brute_force_glrt, candidate_set
+from .aglrt import aglrt_decide, brute_force_glrt
 from .baselines import oblivious_decide, oracle_decide, reputation_decide
 from .simulator import (
     ExperimentConfig,
@@ -65,10 +64,8 @@ __all__ = [
     "optimize_thresholds",
     "run_two_stage",
     "trust_probabilities",
-    "worst_case_error",
     "aglrt_decide",
     "brute_force_glrt",
-    "candidate_set",
     "oblivious_decide",
     "oracle_decide",
     "reputation_decide",

@@ -9,6 +9,7 @@ stable under key reordering.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import sys
@@ -295,12 +296,15 @@ def emit_csv(results, path) -> None:
                 result.seed,
             ))
     rows.sort(key=lambda r: (r[0], r[1]))
-    lines = ["method,malicious_fraction,trials,error_rate,fa_rate,md_rate,seed"]
-    for name, fraction, trials, err, fa, md, seed in rows:
-        lines.append(
-            f"{name},{_fmt(fraction)},{trials},{_fmt(err)},{_fmt(fa)},{_fmt(md)},{seed}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    # csv.writer quotes a name holding the delimiter, such as "baseline(3,1)"
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(
+            ("method", "malicious_fraction", "trials", "error_rate", "fa_rate",
+             "md_rate", "seed"))
+        writer.writerows(
+            (name, _fmt(fraction), trials, _fmt(err), _fmt(fa), _fmt(md), seed)
+            for name, fraction, trials, err, fa, md, seed in rows)
 
 
 def _svg_line(points, color: str) -> str:

@@ -17,14 +17,8 @@ import numpy as np
 
 from .aglrt import aglrt_decide, brute_force_glrt
 from .models import LegitimateSensorModel, MaliciousStrategy, Scenario, Trial, TrustModel
-from .simulator import sample_trials, substream
-from .two_stage import (
-    TwoStageConfig,
-    classify_trust,
-    decide_hypothesis,
-    optimize_thresholds,
-    worst_case_malicious_count,
-)
+from .simulator import ExperimentConfig, run_experiment
+from .two_stage import TwoStageConfig, worst_case_malicious_count
 
 __all__ = [
     "random_trust_model",
@@ -130,26 +124,20 @@ def closed_form_vs_monte_carlo(n_configs: int = 5, trials: int = 100_000,
                                seed: int = 7071, n_sigma: float = 3.0) -> tuple:
     """Check the closed-form worst-case error against simulation.
 
-    For each random configuration the pipeline runs at its optimized
-    thresholds over ``trials`` simulated worst-case-attack trials; the
-    empirical error must sit within ``n_sigma`` binomial standard deviations
-    of the closed-form value.
+    For each random configuration ``run_experiment`` runs ``2sa`` over
+    ``trials`` simulated worst-case-attack trials; its empirical error must
+    sit within ``n_sigma`` binomial standard deviations of the worst-case
+    bound its thresholds certify.
     """
     rng = np.random.default_rng(seed)
     messages = []
     ok = True
     for idx in range(n_configs):
         scenario, config = _random_worst_case_setup(rng)
-        thresholds = optimize_thresholds(
-            scenario.trust, scenario.sensors, config, scenario.n,
-            scenario.prior_h0, scenario.prior_h1,
-        )
-        predicted = thresholds.worst_case_pe
-        xi, y, a_idx = sample_trials(scenario, substream(seed + idx, 0), trials)
-        t_hat = classify_trust(scenario.trust, thresholds.gamma_t, thresholds.p_t,
-                               a_idx, substream(seed + idx, 1))
-        hypotheses = decide_hypothesis(y, t_hat, scenario.sensors, scenario.gamma_ts)
-        empirical = np.count_nonzero(hypotheses != xi) / trials
+        result = run_experiment(ExperimentConfig(scenario, config, trials, seed + idx,
+                                                 ("2sa",)))
+        predicted = result.thresholds.worst_case_pe
+        empirical = result.stats["2sa"].error_rate
         sigma = math.sqrt(max(predicted * (1.0 - predicted), 1e-12) / trials)
         gap = abs(empirical - predicted)
         line = (

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -125,22 +124,21 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class MethodStats:
-    """Aggregated per-method counts and rates for one experiment.
+    """One method's counts over a point's trials; the totals and the rates
+    are derived from them."""
 
-    ``mean_latency_s`` is the method's wall time over the whole point (one
-    batch call; for ``2sa`` it includes the threshold scan whose choice is
-    the result's ``thresholds``) divided by the trial count. It is
-    informational and excluded from equality: two runs with the same seed
-    produce identical counts but not identical timings.
-    """
-
-    trials: int
     n_h0: int
     n_h1: int
-    errors: int
     fa_count: int
     md_count: int
-    mean_latency_s: float = field(compare=False)
+
+    @property
+    def trials(self) -> int:
+        return self.n_h0 + self.n_h1
+
+    @property
+    def errors(self) -> int:
+        return self.fa_count + self.md_count
 
     @property
     def error_rate(self) -> float:
@@ -162,7 +160,6 @@ class ExperimentResult:
 
     malicious_fraction: float
     seed: int
-    trials: int
     stats: dict
     stream_digest: str
     thresholds: Optional[ThresholdChoice]
@@ -269,9 +266,9 @@ def _stream_digest(scenario: Scenario, stream: tuple) -> str:
 
 
 def _decide(name: str, config: ExperimentConfig, point_index: int,
-            stream: tuple) -> tuple:
-    """One method's hypotheses over a point's whole ``(xi, y, a_idx)`` stream,
-    and the thresholds ``2sa`` chose (``None`` for every other method).
+            stream: tuple, thresholds: Optional[ThresholdChoice]) -> np.ndarray:
+    """One method's hypotheses over a point's whole ``(xi, y, a_idx)`` stream;
+    ``2sa`` classifies at ``thresholds``, which every other method ignores.
 
     The two-stage tie-breaks draw from their own substream, so the trial
     stream itself is never touched.
@@ -281,58 +278,51 @@ def _decide(name: str, config: ExperimentConfig, point_index: int,
     _, y, a_idx = stream
     kind, params = parse_method(name)
     if kind == "2sa":
-        thresholds = optimize_thresholds(
-            scenario.trust, scenario.sensors, config.two_stage, scenario.n,
-            scenario.prior_h0, scenario.prior_h1,
-        )
         tie_rng = substream(config.seed, _STREAM_TIES, point_index)
         t_hat = classify_trust(scenario.trust, thresholds.gamma_t, thresholds.p_t,
                                a_idx, tie_rng)
-        return decide_hypothesis(y, t_hat, scenario.sensors, gamma_ts), thresholds
+        return decide_hypothesis(y, t_hat, scenario.sensors, gamma_ts)
     if kind == "aglrt":
         return aglrt_hypotheses(y, a_idx, scenario.trust, scenario.sensors,
-                                scenario.prior_h0, scenario.prior_h1), None
+                                scenario.prior_h0, scenario.prior_h1)
     if kind == "oracle":
-        return oracle_decide(y, scenario.truth, scenario.sensors, gamma_ts), None
+        return oracle_decide(y, scenario.truth, scenario.sensors, gamma_ts)
     if kind == "oblivious":
-        return oblivious_decide(y, scenario.sensors, gamma_ts), None
+        return oblivious_decide(y, scenario.sensors, gamma_ts)
     window, threshold = params
-    return reputation_decide(y, scenario.sensors, gamma_ts, window, threshold), None
+    return reputation_decide(y, scenario.sensors, gamma_ts, window, threshold)
 
 
 def run_experiment(config: ExperimentConfig, point_index: int = 0) -> ExperimentResult:
     """Run every configured method over one shared trial stream.
 
-    The stream is drawn once as arrays and every method decides all of it
-    (paired comparison); per-method wall time, two-stage threshold
-    optimization included, is averaged into the result.
+    ``2sa``'s thresholds are scanned once, before the stream is drawn. The
+    stream is drawn once as arrays and every method decides all of it
+    (paired comparison).
     """
     scenario = config.scenario
+    thresholds = None
+    if "2sa" in config.methods:
+        thresholds = optimize_thresholds(
+            scenario.trust, scenario.sensors, config.two_stage, scenario.n,
+            scenario.prior_h0, scenario.prior_h1,
+        )
     rng = substream(config.seed, _STREAM_TRIALS, point_index)
     stream = sample_trials(scenario, rng, config.trials)
     xi = stream[0]
     h1 = xi == 1
     n_h1 = int(np.count_nonzero(h1))
     stats = {}
-    thresholds = None
     for name in config.methods:
-        start = time.perf_counter()
-        hypotheses, choice = _decide(name, config, point_index, stream)
-        wrong = hypotheses != xi
-        elapsed = time.perf_counter() - start
-        if choice is not None:
-            thresholds = choice
-        fa_count = int(np.count_nonzero(wrong & ~h1))
-        md_count = int(np.count_nonzero(wrong & h1))
+        wrong = _decide(name, config, point_index, stream, thresholds) != xi
         stats[name] = MethodStats(
-            trials=config.trials, n_h0=config.trials - n_h1, n_h1=n_h1,
-            errors=fa_count + md_count, fa_count=fa_count, md_count=md_count,
-            mean_latency_s=elapsed / config.trials,
+            n_h0=config.trials - n_h1, n_h1=n_h1,
+            fa_count=int(np.count_nonzero(wrong & ~h1)),
+            md_count=int(np.count_nonzero(wrong & h1)),
         )
     return ExperimentResult(
         malicious_fraction=scenario.malicious_fraction,
         seed=config.seed,
-        trials=config.trials,
         stats=stats,
         stream_digest=_stream_digest(scenario, stream),
         thresholds=thresholds,

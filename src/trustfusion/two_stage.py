@@ -47,7 +47,6 @@ __all__ = [
     "decide_hypothesis",
     "conditional_errors",
     "worst_case_malicious_count",
-    "worst_case_error",
     "worst_case_error_by_counts",
     "tie_break_grid",
     "optimize_thresholds",
@@ -270,16 +269,6 @@ def worst_case_error_by_counts(model: TrustModel, sensors: LegitimateSensorModel
     gamma_ts = log_prior_ratio(prior_h0, prior_h1)
     fa, md = conditional_errors(n_legit, n_malicious, gamma_ts, sensors)
     return _mixture_errors(model, prior_h0 * fa + prior_h1 * md, [(gamma_t, p_t)])[0]
-
-
-def worst_case_error(model: TrustModel, sensors: LegitimateSensorModel,
-                     config: TwoStageConfig, n: int,
-                     gamma_t: float, p_t: float,
-                     prior_h0: float, prior_h1: float) -> float:
-    """Worst-case error of the pipeline at the given thresholds."""
-    n_malicious = worst_case_malicious_count(config.m_bar, n)
-    return worst_case_error_by_counts(model, sensors, prior_h0, prior_h1,
-                                      n - n_malicious, n_malicious, gamma_t, p_t)
 
 
 def tie_break_grid(delta_p: float) -> list:

@@ -19,7 +19,12 @@ import numpy as np
 from trustfusion.aglrt import _xlogx, aglrt_decide, candidate_set
 from trustfusion.models import _MAX_ROBOTS, DecisionOutcome, Trial, ValidationError
 from trustfusion.stats import NEG_INF, binom_pmf
-from trustfusion.two_stage import decide_hypothesis, trust_probabilities
+from trustfusion.two_stage import (
+    decide_hypothesis,
+    trust_probabilities,
+    worst_case_error_by_counts,
+    worst_case_malicious_count,
+)
 
 
 def fused_decision(ones: int, trusted: int, gamma_ts: float,
@@ -31,6 +36,15 @@ def fused_decision(ones: int, trusted: int, gamma_ts: float,
     ones*w1 - (trusted-ones)*w0 >= gamma_ts.
     """
     return 1 if ones * (w0 + w1) >= gamma_ts + trusted * w0 else 0
+
+
+def worst_case_error(model, sensors, config, n: int, gamma_t: float, p_t: float,
+                     prior_h0: float, prior_h1: float) -> float:
+    """Worst-case error of the two-stage pipeline at the given thresholds, at
+    the malicious count ``config.m_bar`` implies for ``n`` robots."""
+    n_malicious = worst_case_malicious_count(config.m_bar, n)
+    return worst_case_error_by_counts(model, sensors, prior_h0, prior_h1,
+                                      n - n_malicious, n_malicious, gamma_t, p_t)
 
 
 def per_robot_trust_prob(pmf, ratios, gamma_t: float, p_t: float) -> float:

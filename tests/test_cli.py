@@ -1,5 +1,6 @@
 """Config parsing, CSV/SVG emission, presets, subcommands, determinism."""
 
+import csv
 import json
 
 import pytest
@@ -145,6 +146,22 @@ class TestEmitCsv:
         assert len(lines) == 1 + 5 * 11
         names = [line.split(",")[0] for line in lines[1:]]
         assert names == sorted(names)
+
+    def test_baseline_names_with_commas_parse_back(self, tmp_path):
+        raw = preset_config("hardware-replica")
+        raw["trials"] = 200
+        raw["methods"] = ["2sa", "baseline(3,1)", "baseline(10,4.5)"]
+        path = tmp_path / "out.csv"
+        emit_csv([run_experiment(build_config(raw))], path)
+        with open(path, newline="") as f:
+            rows = list(csv.DictReader(f))
+        # a row with more or fewer fields than the header gets a None key or value
+        assert all(None not in row and None not in row.values() for row in rows)
+        assert [row["method"] for row in rows] == sorted(raw["methods"])
+        for row in rows:
+            assert row["trials"] == "200"
+            for key in ("error_rate", "fa_rate", "md_rate"):
+                assert 0.0 <= float(row[key]) <= 1.0
 
     def test_byte_identical_rerun(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

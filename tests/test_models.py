@@ -210,3 +210,17 @@ def test_readme_library_use_block_runs(capsys):
     two_stage, glrt, estimate = capsys.readouterr().out.split()
     assert two_stage in ("0", "1") and glrt in ("0", "1")
     assert 0.0 <= float(estimate) <= 1.0
+
+
+def test_readme_api_section_names_every_export_once():
+    import re
+
+    import trustfusion
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## API\n", 1)[1].split("\n## ", 1)[0]
+    names = re.findall(r"^- `(\w+)", section, flags=re.M)
+    assert sorted(names) == sorted(trustfusion.__all__)
+    assert len(names) == len(set(names))
+    assert "worst_case_error" not in dir(trustfusion)
+    assert "candidate_set" not in dir(trustfusion)

@@ -1,7 +1,7 @@
 """Trial generation statistics, stream pairing, reproducibility, sweeps."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -25,6 +25,8 @@ from trustfusion.models import (
 from trustfusion.simulator import (
     _BLOCK,
     ExperimentConfig,
+    ExperimentResult,
+    MethodStats,
     _decide,
     _stream_digest,
     parse_method,
@@ -287,9 +289,8 @@ class TestAglrtCountClasses:
             patch.setattr(aglrt, "_class_maxima",
                           lambda counts, constants: (calls.append(tuple(counts))
                                                      or core(counts, constants)))
-            hypotheses, thresholds = _decide(
-                "aglrt", make_config(scenario, ("aglrt",), trials=count), 0, stream)
-        assert thresholds is None
+            hypotheses = _decide(
+                "aglrt", make_config(scenario, ("aglrt",), trials=count), 0, stream, None)
         assert hypotheses.dtype == np.int8
         assert np.array_equal(hypotheses, per_row_aglrt_hypotheses(scenario, stream))
         vectors = {tuple(v) for v in _count_vectors(scenario, stream).tolist()}
@@ -329,6 +330,14 @@ class TestAglrtCountClasses:
 
 
 class TestRunExperiment:
+    def test_method_stats_derive_totals_and_rates_from_four_counts(self):
+        stats = MethodStats(n_h0=3, n_h1=2, fa_count=1, md_count=2)
+        assert (stats.trials, stats.errors) == (5, 3)
+        assert (stats.error_rate, stats.fa_rate, stats.md_rate) == (3 / 5, 1 / 3, 1.0)
+        assert [f.name for f in fields(MethodStats)] == ["n_h0", "n_h1", "fa_count",
+                                                          "md_count"]
+        assert len(fields(ExperimentResult)) == 5
+
     def test_oracle_equals_oblivious_without_malicious(self):
         scenario = make_scenario((1,) * 5)
         result = run_experiment(make_config(scenario, ("oracle", "oblivious"),
@@ -430,9 +439,9 @@ class TestPlacement:
                 scenario, truth=tuple(np.array(scenario.truth)[order].tolist())))
             permuted_stream = (xi, y[:, order], a_idx[:, order])
             for name in ("oracle", "oblivious", "baseline1", "baseline5", "aglrt"):
-                hypotheses, _ = _decide(name, config, 0, stream)
+                hypotheses = _decide(name, config, 0, stream, None)
                 moved = np.flatnonzero(hypotheses != _decide(name, permuted, 0,
-                                                             permuted_stream)[0])
+                                                             permuted_stream, None))
                 assert moved.size == 0, name
         # the last stream is the symmetric one
         assert _tie_band_rows(symmetric.scenario, stream).any()

@@ -14,6 +14,7 @@ from oracles import (
     exact_two_stage_error_by_counts,
     fused_decision,
     per_point_mixture_error,
+    worst_case_error,
 )
 from trustfusion import two_stage
 from trustfusion.cli import build_config, preset_config
@@ -43,7 +44,6 @@ from trustfusion.two_stage import (
     run_two_stage,
     tie_break_grid,
     trust_probabilities,
-    worst_case_error,
     worst_case_error_by_counts,
     worst_case_malicious_count,
 )
