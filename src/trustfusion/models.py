@@ -102,12 +102,6 @@ class TrustModel:
     def log_pmf_malicious(self) -> tuple:
         return tuple(math.log(q) for q in self.pmf_malicious)
 
-    @cached_property
-    def cumulative_pmfs(self) -> tuple:
-        """Read-only running sums ``(legit, malicious)`` of both pmfs, in
-        alphabet order: the sampler's score bins."""
-        return _read_only(np.cumsum(self.pmf_legit)), _read_only(np.cumsum(self.pmf_malicious))
-
     def symbol_index(self, a) -> int:
         try:
             return self._index[a]
@@ -181,9 +175,20 @@ class Scenario:
         _check_prior_sum(self.prior_h0, self.prior_h1)
 
     @cached_property
-    def legit_mask(self) -> np.ndarray:
-        """Read-only ``(n,)`` bool mask of the legitimate robots."""
-        return _read_only(np.array(self.truth, dtype=bool))
+    def sampler_columns(self) -> np.ndarray:
+        """Read-only ``(|A| + 2, n)`` table of each robot's sampling rates,
+        taken from its own type: row 0 its wrong-report rate under H0, row 1
+        under H1 (a malicious robot's raw rates), row 2 its flip rate (0.0 for
+        a legitimate robot, which never flips) and rows 3 on the first
+        ``|A| - 1`` running sums of its type's pmf, in alphabet order."""
+        sensors, attack, trust = self.sensors, self.attack, self.trust
+        # row t holds the rates of a robot whose truth value is t
+        by_type = np.array([
+            [attack.p_fa_m_raw, attack.p_md_m_raw, attack.p_f,
+             *np.cumsum(trust.pmf_malicious)[:-1]],
+            [sensors.p_fa_l, sensors.p_md_l, 0.0, *np.cumsum(trust.pmf_legit)[:-1]],
+        ])
+        return _read_only(np.take(by_type.T, self.truth, axis=1))
 
     @property
     def n(self) -> int:

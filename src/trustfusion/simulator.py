@@ -188,29 +188,32 @@ def sample_trials(scenario: Scenario, rng: np.random.Generator, count: int) -> t
     draws of one; at most ``_BLOCK`` trials' uniforms are held at once. A
     score is the first symbol whose running pmf sum exceeds its uniform, and
     the last symbol if none does.
+
+    Every robot is drawn by one rule from its column of
+    :attr:`Scenario.sampler_columns`: a report is wrong when its raw uniform
+    is below its rate under the event, exclusive-or its flip uniform is below
+    its flip rate (0.0 for a legitimate robot, which never flips). A score's
+    position counts the ``|A| - 1`` bins (the running sums but the last) at
+    or below its uniform; the sums never decrease, so that count is the
+    first symbol whose sum exceeds the uniform, capped at the last.
     """
     n = scenario.n
-    sensors, attack, trust = scenario.sensors, scenario.attack, scenario.trust
-    legit = scenario.legit_mask
-    cum_legit, cum_malicious = trust.cumulative_pmfs
-    last = len(trust.alphabet) - 1
+    columns = scenario.sampler_columns
+    wrong_h0, wrong_h1, flip, bins = columns[0], columns[1], columns[2], columns[3:]
     xi = np.empty(count, dtype=np.int8)
     y = np.empty((count, n), dtype=np.int8)
-    a_idx = np.empty((count, n), dtype=np.min_scalar_type(last))
+    a_idx = np.empty((count, n), dtype=np.min_scalar_type(len(bins)))
     for start in range(0, count, _BLOCK):
         u = rng.random((min(_BLOCK, count - start), 3 * n + 1))
         rows = slice(start, start + len(u))
         h1 = u[:, :1] < scenario.prior_h1
         u_raw, u_flip, u_score = u[:, 1:n + 1], u[:, n + 1:2 * n + 1], u[:, 2 * n + 1:]
-        wrong_legit = u_raw < np.where(h1, sensors.p_md_l, sensors.p_fa_l)
-        wrong_malicious = ((u_raw < np.where(h1, attack.p_md_m_raw, attack.p_fa_m_raw))
-                           != (u_flip < attack.p_f))
         xi[rows] = h1[:, 0]
-        y[rows] = h1 ^ np.where(legit, wrong_legit, wrong_malicious)
-        a_idx[rows] = np.minimum(np.where(legit,
-                                          np.searchsorted(cum_legit, u_score, "right"),
-                                          np.searchsorted(cum_malicious, u_score, "right")),
-                                 last)
+        y[rows] = h1 ^ ((u_raw < np.where(h1, wrong_h1, wrong_h0)) != (u_flip < flip))
+        scores = a_idx[rows]
+        np.greater_equal(u_score, bins[0], out=scores)
+        for edge in bins[1:]:
+            scores += u_score >= edge
     return xi, y, a_idx
 
 
@@ -237,7 +240,10 @@ def _stream_digest(scenario: Scenario, stream: tuple) -> str:
     the digests. A chunk of rows is one fixed-width byte array: the head
     ``(0, (0, ..., 0), (`` with ``xi`` and ``y`` added into its digit slots,
     one cell per robot (its symbol's bytes and ``", "``, left-padded with
-    ``_PAD``) and the closing bytes over the last separator; pads are dropped.
+    ``_PAD`` to the widest symbol's) and the closing bytes over the last
+    separator. A byte column of the cells that is the same for every symbol
+    is written once; each other one is gathered from ``a_idx``. Pads occur,
+    and are dropped, only when some symbol is narrower than the widest.
     """
     xi, y, a_idx = stream
     n = scenario.n
@@ -247,21 +253,31 @@ def _stream_digest(scenario: Scenario, stream: tuple) -> str:
     close = np.frombuffer(f"{comma}))".encode(), dtype=np.uint8)
     symbols = [repr(symbol).encode() + b", " for symbol in scenario.trust.alphabet]
     width = max(map(len, symbols))
+    padded = any(len(s) < width for s in symbols)
     cells = np.frombuffer(b"".join(s.rjust(width, _PAD) for s in symbols),
                           dtype=np.uint8).reshape(len(symbols), width)
     cells_end = len(head) + n * width
     row_width = cells_end - 2 + len(close)
-    chunk = np.empty((max(1, _DIGEST_BYTES // row_width), row_width), dtype=np.uint8)
+    chunk = np.empty((max(1, min(len(xi), _DIGEST_BYTES // row_width)), row_width),
+                     dtype=np.uint8)
     chunk[:, :len(head)] = np.frombuffer(head, dtype=np.uint8)
+    gathered = []
+    for k, column in enumerate(cells.T):
+        slots = chunk[:, len(head) + k:cells_end:width]
+        if (column == column[0]).all():
+            slots[:] = column[0]
+        else:
+            gathered.append((slots, column))
+    chunk[:, cells_end - 2:] = close
     h = hashlib.sha256()
     for start in range(0, len(xi), len(chunk)):
         part = slice(start, start + len(chunk))
         rows = chunk[:len(xi[part])]
         rows[:, 1] = xi[part] + ord("0")
         rows[:, 5:3 * n + 5:3] = y[part] + ord("0")
-        rows[:, len(head):cells_end] = cells[a_idx[part]].reshape(len(rows), -1)
-        rows[:, cells_end - 2:] = close
-        h.update(rows.tobytes().translate(None, _PAD))
+        for slots, column in gathered:
+            slots[:len(rows)] = column[a_idx[part]]
+        h.update(rows.tobytes().translate(None, _PAD) if padded else rows)
     return h.hexdigest()
 
 

@@ -18,6 +18,7 @@ from trustfusion.aglrt import (
     BRUTE_FORCE_MAX_N,
     _class_maxima,
     _code_constants,
+    _decides_h1,
     aglrt_decide,
     aglrt_hypotheses,
     brute_force_glrt,
@@ -210,6 +211,31 @@ class TestAglrtDecide:
         with pytest.raises(ValidationError, match="at most"):
             aglrt_hypotheses(np.ones((1, n), dtype=np.int8), np.ones((1, n), dtype=np.uint8),
                              BINARY_TRUST, SENSORS_15, 0.5, 0.5)
+
+    def test_robot_count_at_the_cap_is_decided(self):
+        # a row of exactly _MAX_ROBOTS robots lies within the cap
+        rng = np.random.default_rng(11)
+        y, a = rng.integers(0, 2, (2, _MAX_ROBOTS), dtype=np.int8)
+        out = aglrt_decide(make_trial(y.tolist(), a.tolist()), BINARY_TRUST, SENSORS_15,
+                           0.5, 0.5)
+        constants = tuple(branch[:3] for branch in _code_constants(BINARY_TRUST, SENSORS_15))
+        den, num = sorting_class_maxima(np.bincount(2 * a + y, minlength=4).tolist(),
+                                        constants)
+        assert (out.diagnostics["log_den"], out.diagnostics["log_num"]) == (den[0], num[0])
+        assert len(out.t_hat) == _MAX_ROBOTS
+        assert aglrt_hypotheses(y[None], a[None].astype(np.uint8), BINARY_TRUST,
+                                SENSORS_15, 0.5, 0.5).tolist() == [out.hypothesis]
+
+    @pytest.mark.parametrize("log_num, log_den", [
+        (-1000.0, -1.0), (-1.0, -1000.0), (-2.5e5, -3.0), (-7.0, -4.0e6), (-0.5, -0.25),
+    ])
+    def test_tie_band_width(self, log_num, log_den):
+        # the ratio clears the threshold only beyond
+        # 1e-9 * (1 + |log_num| + |log_den|), whichever term is the larger
+        band = 1e-9 * (1.0 + abs(log_num) + abs(log_den))
+        for scale, decides in ((1.0 - 1e-3, False), (1.0 + 1e-3, True)):
+            threshold = log_num - log_den - scale * band
+            assert _decides_h1(log_num, log_den, threshold) is decides
 
     @pytest.mark.parametrize("priors", [(0.5, 0.9), (0.9, 0.9), (0.1, 0.1)])
     def test_priors_not_summing_to_one_refused(self, priors):

@@ -90,8 +90,7 @@ def test_cleared_caches_make_aglrt_rebuild_its_plan(bench):
         configs.append(config)
     first, second = (config.scenario for config in configs)
     assert first == second and first is not second
-    assert first.legit_mask is not second.legit_mask
-    assert first.trust.cumulative_pmfs[0] is not second.trust.cumulative_pmfs[0]
+    assert first.sampler_columns is not second.sampler_columns
 
 
 def test_cleared_caches_make_the_scan_rebuild_the_fusion_boundary(bench):
@@ -133,3 +132,18 @@ def test_scan_pmf_calls_do_not_grow_with_the_tie_grid(bench, monkeypatch):
         counts.append(len(calls))
     # the conditional-error tables come from a recurrence, not per-cell pmfs
     assert counts == [0, 0]
+
+
+@pytest.mark.parametrize("workload", ["replica", "sweep-n40", "live-n48"])
+def test_set_up_draws_and_hashes_no_trials(bench, monkeypatch, workload):
+    # the set-up loop times set_up alone, so sampling, the stream digest and
+    # the sampler's per-robot table belong to the decision phase
+    def refuse(*args):
+        raise AssertionError("decision-phase work during set-up")
+
+    monkeypatch.setattr(bench.simulator, "sample_trials", refuse)
+    monkeypatch.setattr(bench.simulator, "_stream_digest", refuse)
+    bench.clear_program_caches()
+    config, thresholds, _ = bench.set_up(bench.workload_raw(workload, 1))
+    assert len(thresholds) == len(bench.scan_args(config))
+    assert "sampler_columns" not in vars(config.scenario)

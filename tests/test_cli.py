@@ -280,6 +280,14 @@ class TestMain:
         assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert method in capsys.readouterr().err
 
+    def test_baseline_of_window_one_runs(self, tmp_path, capsys):
+        # T = 1 is the shortest history window accepted
+        path = write_config(tmp_path, overrides={"methods": ["oracle", "baseline(1,0.5)"]})
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        rows = (tmp_path / "config.csv").read_text().splitlines()
+        assert any(row.startswith('"baseline(1,0.5)",') for row in rows)
+
     @pytest.mark.parametrize("inside", [False, True])
     def test_out_through_a_file_exits_2_before_work(self, tmp_path, capsys,
                                                     monkeypatch, inside):

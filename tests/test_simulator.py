@@ -121,6 +121,13 @@ class _NearOne:
         return 1.0 - self._rng.random(size) * 1e-9
 
 
+def _random_trust(size, seed):
+    rng = np.random.default_rng(seed)
+    return TrustModel(alphabet=tuple(range(size)),
+                      pmf_legit=tuple(rng.dirichlet(np.ones(size)).tolist()),
+                      pmf_malicious=tuple(rng.dirichlet(np.ones(size)).tolist()))
+
+
 class TestSampleTrials:
     # scores from a three-symbol string alphabet, a float alphabet and, at
     # near-one uniforms, pmfs whose running sums end below 1 (the `last`
@@ -137,6 +144,18 @@ class TestSampleTrials:
                                     pmf_legit=(0.2, 0.3, 0.5000000000000002),
                                     pmf_malicious=(0.5, 0.3, 0.2000000000000001)),
                          (1, 0, 1, 0), True),
+        "all-legitimate": (TrustModel(alphabet=("lo", "mid", "hi"), pmf_legit=(0.2, 0.3, 0.5),
+                                      pmf_malicious=(0.6, 0.3, 0.1)), (1, 1, 1, 1), False),
+        "all-malicious": (TrustModel(alphabet=("lo", "mid", "hi"), pmf_legit=(0.2, 0.3, 0.5),
+                                     pmf_malicious=(0.6, 0.3, 0.1)), (0, 0, 0), False),
+        # seeded random pmfs, with a_idx in uint8 at 16 and 64 symbols
+        "16-symbols": (_random_trust(16, 16), (1, 0, 0, 1, 0, 1), False),
+        "64-symbols": (_random_trust(64, 64), (0, 1, 1, 0, 1), False),
+        # 0.5 + 1e-17 == 0.5, so two running sums are equal and "b" is never
+        # drawn: a score counts both bins at or below its uniform
+        "equal-sums": (TrustModel(alphabet=("a", "b", "c", "d"),
+                                  pmf_legit=(0.5, 1e-17, 0.3, 0.2 - 1e-17),
+                                  pmf_malicious=(0.1, 0.2, 0.3, 0.4)), (1, 0, 1), False),
     }
 
     @classmethod
@@ -153,9 +172,11 @@ class TestSampleTrials:
         # more trials than one generator block holds, and not a multiple
         scenario = self._scenario(name)
         count = 2 * _BLOCK + 37
-        xi, y, a_idx = sample_trials(scenario, self._rng(name, 9), count)
+        block = sample_trials(scenario, self._rng(name, 9), count)
+        xi, y, a_idx = block
         assert xi.dtype == y.dtype == np.int8 and y.shape == a_idx.shape == (count,
                                                                             scenario.n)
+        assert a_idx.dtype == np.min_scalar_type(len(scenario.trust.alphabet) - 1)
         twin = self._rng(name, 9)
         stacked = [sample_trial(scenario, twin) for _ in range(count)]
         symbols = scenario.trust.alphabet
@@ -163,12 +184,17 @@ class TestSampleTrials:
         assert [tuple(r) for r in y.tolist()] == [t.y for t in stacked]
         assert [tuple(symbols[j] for j in r) for r in a_idx.tolist()] == \
             [t.a for t in stacked]
+        # sample_trial reads one-row arrays, which have the block's dtypes
+        one_row = sample_trials(scenario, self._rng(name, 9), 1)
+        assert [part.dtype for part in one_row] == [part.dtype for part in block]
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_draws_follow_the_per_robot_reference(self, name):
         scenario = self._scenario(name)
         rng, ref_rng = self._rng(name, 3), self._rng(name, 3)
         xi, y, a_idx = sample_trials(scenario, rng, 300)
+        assert (xi.dtype, y.dtype) == (np.int8, np.int8)
+        assert a_idx.dtype == np.min_scalar_type(len(scenario.trust.alphabet) - 1)
         expected = [per_trial_reference_sample(scenario, ref_rng) for _ in range(300)]
         symbols = scenario.trust.alphabet
         rows = [(x, tuple(y_r), tuple(symbols[j] for j in a_r))
@@ -211,19 +237,25 @@ class TestSamplerMemo:
     @pytest.mark.parametrize("name", ["replica", "live-n48", "one-ulp-over"])
     def test_memoised_arrays_are_read_only(self, name):
         scenario = self._scenario(name)
-        cum_legit, cum_malicious = scenario.trust.cumulative_pmfs
-        assert np.array_equal(cum_legit, np.cumsum(scenario.trust.pmf_legit))
-        assert np.array_equal(cum_malicious, np.cumsum(scenario.trust.pmf_malicious))
-        assert scenario.legit_mask.tolist() == [bool(t) for t in scenario.truth]
+        trust, sensors, attack = scenario.trust, scenario.sensors, scenario.attack
+        cum_legit, cum_malicious = np.cumsum(trust.pmf_legit), np.cumsum(trust.pmf_malicious)
+        columns = scenario.sampler_columns
+        assert columns is scenario.sampler_columns
+        assert columns.shape == (len(trust.alphabet) + 2, scenario.n)
+        # each robot's column holds its own type's rates and running sums
+        legit = [sensors.p_fa_l, sensors.p_md_l, 0.0, *cum_legit[:-1].tolist()]
+        malicious = [attack.p_fa_m_raw, attack.p_md_m_raw, attack.p_f,
+                     *cum_malicious[:-1].tolist()]
+        assert columns.T.tolist() == [legit if t else malicious for t in scenario.truth]
         if name == "one-ulp-over":
             assert cum_legit[-1] == cum_malicious[-1] == 1.0 + 2.0**-52
-        for array in (cum_legit, cum_malicious, scenario.legit_mask):
-            with pytest.raises(ValueError):
-                array[0] = 0
+        with pytest.raises(ValueError):
+            columns[0, 0] = 0
 
 
 class TestStreamDigest:
-    """The padded byte-template digest equals the ``repr`` walk it replaces."""
+    """The byte-template digest, with and without padded cells, equals the
+    ``repr`` walk it replaces."""
 
     ALPHABETS = {
         "bits": (0, 1),
@@ -236,6 +268,10 @@ class TestStreamDigest:
         # the 0xFF pad; at n = 40 a row is ~1.9 kB, so 127 rows span
         # several chunks
         "mixed-widths": (0, "\u00ff", "x" * 40, 1e-300),
+        # reprs of one width, so no cell is padded and nothing is dropped
+        "equal-widths": ("ab", "ac", "bd"),
+        # reprs that differ in one byte column only
+        "one-varying-byte": (10, 11, 12),
     }
 
     @pytest.mark.parametrize("count", [1, 127, 2 * _BLOCK + 37])
@@ -398,6 +434,7 @@ class TestMethodParsing:
 
     def test_generic_baseline(self):
         assert parse_method("baseline(3,1.5)") == ("baseline", (3, 1.5))
+        assert parse_method("baseline(1,0.5)") == ("baseline", (1, 0.5))
 
     def test_rejects_unknown(self):
         with pytest.raises(ValidationError):
